@@ -6,11 +6,11 @@
 /// folding pending epochs into the compressed base.
 ///
 /// Two phases:
-///   identity — a sequential oracle DataStore replays the writer's exact
-///              op-log; after EVERY commit the published epoch is ranked
-///              against the oracle and must match byte-for-byte (score bits
-///              and DocumentId tie-breaks). This is the headline contract of
-///              the epoch design, gated, not just reported.
+///   identity — a sequential oracle InvertedIndex replays the writer's
+///              exact op-log; after EVERY commit the published epoch is
+///              ranked against the oracle and must match byte-for-byte
+///              (score bits and DocumentId tie-breaks). This is the headline
+///              contract of the epoch design, gated, not just reported.
 ///   timed    — for 1, 2, 4 and 8 reader threads: aggregate queries/sec,
 ///              p50/p99 query latency, and epochs published by the live
 ///              writer during the window. Readers rank through the pruned
@@ -53,6 +53,7 @@
 #include <vector>
 
 #include "index/data_store.hpp"
+#include "index/inverted_index.hpp"
 #include "search/ranker.hpp"
 #include "text/porter_stemmer.hpp"
 #include "util/distributions.hpp"
@@ -152,7 +153,7 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
   cfg.merge_min_docs = 128;
   cfg.merge_tombstone_threshold = 16;
   DataStore store(1, {}, {}, cfg);
-  DataStore oracle(1);
+  InvertedIndex oracle;
 
   std::atomic<bool> done{false};
   std::vector<std::thread> readers;
@@ -174,7 +175,7 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
   for (std::size_t i = 0; i < num_docs; ++i) {
     const std::string& xml = corpus[i % corpus.size()];
     const DocumentId id = store.publish(std::string(xml));
-    oracle.publish_as(id.local, std::string(xml));
+    oracle.add_document(id, store.analyzer().term_frequencies(store.document(id)->text));
     live.push_back(id.local);
     ++epochs;
     if (i % 8 == 7) {
@@ -183,15 +184,15 @@ std::size_t identity_phase(std::size_t num_docs, const std::vector<std::string>&
       live[pick] = live.back();
       live.pop_back();
       store.unpublish(DocumentId{1, victim});
-      oracle.unpublish(DocumentId{1, victim});
+      oracle.remove_document(DocumentId{1, victim});
       ++epochs;
     }
     // Rank the epoch just published against the oracle — the oracle *is* the
-    // "sequential single-threaded store over the same documents".
+    // "sequential single-threaded index over the same documents".
     const auto snap = store.snapshot();
     const auto& q = queries[i % queries.size()];
     if (!rankings_identical(search::SnapshotRanker(*snap).top_k(q, 10),
-                            search::TfIdfRanker(oracle.index()).top_k(q, 10))) {
+                            search::TfIdfRanker(oracle).top_k(q, 10))) {
       ++mismatches;
       std::fprintf(stderr, "  epoch %llu diverged from the sequential oracle\n",
                    static_cast<unsigned long long>(snap->epoch()));

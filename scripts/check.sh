@@ -18,24 +18,25 @@ cmake -B build-asan -S . -DPLANETP_SANITIZE=address,undefined
 cmake --build build-asan -j "$JOBS"
 ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
-# The concurrent hedged-search tests, the parallel gossip stepping, the
-# parallel batch publish and the epoch-snapshot mixed-workload stress (8
-# readers ranking live snapshots while a writer publishes/merges) again under
-# ThreadSanitizer (the `tsan` preset uses the same build dir). TSan and ASan
-# cannot share a build, hence the third tree; the -R scope keeps the (slow)
-# TSan pass to the tests that actually exercise cross-thread code.
+# The concurrent hedged-search tests, the parallel gossip stepping and the
+# epoch-snapshot mixed-workload stress (8 readers ranking live snapshots
+# while a writer publishes/merges) again under ThreadSanitizer (the `tsan`
+# preset uses the same build dir). TSan and ASan cannot share a build, hence
+# the third tree; the -R scope keeps the (slow) TSan pass to the tests that
+# actually exercise cross-thread code.
 # test_reactor and test_net ride along: the reactor's cross-thread surface
 # (send/post/schedule vs the loop thread, LiveNode RPC wakeups, cluster churn)
 # is exactly the kind of code TSan exists for. test_pruned_topk covers the
 # block-max pruned readers racing a live writer (shared compressed base,
-# epoch swaps) — the PrunedTopK scope picks up its concurrent test.
+# epoch swaps) — the PrunedTopK scope picks up its concurrent test along
+# with its SnapshotRanker identity cases.
 cmake -B build-tsan -S . -DPLANETP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target test_search test_search_faults test_sim test_data_store test_epoch_snapshot \
            test_reactor test_net test_compact_directory test_compressed_at_rest \
            test_lazy_gossip test_pruned_topk
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'DistributedSearchConcurrent|ParallelStepping|ParallelPublish|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK'
+  -R 'DistributedSearchConcurrent|ParallelStepping|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK'
 
 # Query hot-path smoke run + perf-regression guard: search_throughput exits
 # non-zero when the warm CandidateCache is not >=5x the uncached scan at 5000
@@ -78,14 +79,17 @@ else
   build/bench/live_throughput --baseline bench/baselines/live_throughput.json
 fi
 
-# Indexing/ranking hot-path smoke run + perf-regression guard:
-# index_throughput exits non-zero when the interned pipeline's combined
-# (publish x eval) speedup over the legacy string-keyed cost model drops
-# below 3x at 10k docs, when the two paths rank different documents, when
-# the block-max pruned top-k diverges bitwise from the exhaustive ranking,
-# skips no blocks, or misses the >=3x pruned-vs-exhaustive gate at 10k docs
-# (k=10), or when publish docs/sec, eval qps, or pruned eval qps falls below
-# half the committed baseline.
+# Indexing/ranking hot-path smoke run + perf-regression guard. The interned
+# rows measure the static-collection InvertedIndex + TfIdfRanker path of
+# the centralized baseline; the pruned rows measure a peer's query path,
+# SnapshotRanker over a compacted DataStore epoch. index_throughput exits
+# non-zero when the interned pipeline's combined (publish x eval) speedup
+# over the legacy string-keyed cost model drops below 3x at 10k docs, when
+# the two paths rank different documents, when the block-max pruned top-k
+# diverges bitwise from the exhaustive ranking, skips no blocks, or misses
+# the >=3x pruned-vs-exhaustive gate at 10k docs (k=10), or when publish
+# docs/sec, eval qps, or pruned eval qps falls below half the committed
+# baseline.
 echo "=== index_throughput ==="
 if [ "$QUICK" = "--quick" ]; then
   build/bench/index_throughput --quick --baseline bench/baselines/index_throughput.json

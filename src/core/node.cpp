@@ -17,27 +17,23 @@ Node::Node(PeerId id, NodeConfig config, Community* community)
       last_announced_(config_.bloom),
       filter_cache_(config_.candidate_cache) {}
 
-std::vector<std::uint8_t> Node::encoded_filter() const {
-  ByteWriter w;
-  bloom::encode_filter(w, store_.bloom_filter());
-  return w.take();
-}
-
 void Node::announce_filter_change(std::uint32_t new_keys) {
   const bloom::BloomFilter current = store_.bloom_filter();
   ByteWriter diff_writer;
   bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
-  protocol_.local_filter_change(static_cast<std::uint32_t>(store_.index().num_terms()),
-                                new_keys, diff_writer.take(), encoded_filter(),
+  ByteWriter full_writer;
+  bloom::encode_filter(full_writer, current);
+  protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()), new_keys,
+                                diff_writer.take(), full_writer.take(),
                                 community_ != nullptr ? community_->now() : 0);
   last_announced_ = current;
   if (community_ != nullptr) community_->record_changed(id_);
 }
 
 DocumentId Node::publish(std::string xml) {
-  const std::size_t terms_before = store_.index().num_terms();
+  const std::size_t terms_before = store_.num_terms();
   const DocumentId doc_id = store_.publish(std::move(xml));
-  const std::size_t terms_after = store_.index().num_terms();
+  const std::size_t terms_after = store_.num_terms();
   announce_filter_change(static_cast<std::uint32_t>(terms_after - terms_before));
 
   if (config_.publish_to_brokers && community_ != nullptr) {
@@ -86,9 +82,9 @@ bool Node::unpublish(DocumentId doc) {
 }
 
 bool Node::republish(DocumentId doc, std::string xml) {
-  const std::size_t terms_before = store_.index().num_terms();
+  const std::size_t terms_before = store_.num_terms();
   if (!store_.republish(doc, std::move(xml))) return false;
-  const std::size_t terms_after = store_.index().num_terms();
+  const std::size_t terms_after = store_.num_terms();
   announce_filter_change(static_cast<std::uint32_t>(
       terms_after > terms_before ? terms_after - terms_before : 0));
   return true;

@@ -195,9 +195,6 @@ class Node {
   /// Push the current filter state into the gossip protocol (diff + full).
   void announce_filter_change(std::uint32_t new_keys);
 
-  /// Encode the current Bloom filter for the wire.
-  std::vector<std::uint8_t> encoded_filter() const;
-
   /// Candidate peers whose filters contain every term.
   std::vector<PeerId> candidates_for(const std::vector<std::string>& terms) const;
 

@@ -14,8 +14,9 @@
 /// \file compressed_postings.hpp
 /// Compressed, immutable posting lists in the style of Witten, Moffat &
 /// Bell's "Managing Gigabytes" — the same reference the paper takes its
-/// ranking equations from. The mutable InvertedIndex is the write path; a
-/// CompressedIndex is a compact read-optimized snapshot of it:
+/// ranking equations from. A CompressedIndex is a compact, read-optimized,
+/// immutable index — built by the epoch pipeline's merges, or from an
+/// InvertedIndex with build():
 ///
 ///   - documents are numbered densely; ids are delta-coded varints,
 ///   - term frequencies are varints,
@@ -26,13 +27,13 @@
 ///     global upper bound (docs/INDEX.md "Block-max pruning").
 ///
 /// Peers with large, slowly changing stores (the common case per §2's file
-/// system citations) can serve queries from a snapshot several times
-/// smaller than the hash-map index, rebuilding it only when enough changes
-/// accumulate.
+/// system citations) serve queries from a base several times smaller than
+/// a hash-map index, rebuilding it only when enough changes accumulate.
 ///
-/// A CompressedIndex is also the read-optimized *base* of the epoch
-/// snapshots in epoch_index.hpp: the background segment merge folds pending
-/// in-memory segments into a fresh CompressedIndex via Builder, and readers
+/// A CompressedIndex is the read-optimized *base* of the epoch snapshots
+/// in epoch_index.hpp, a peer's one index: the background segment merge
+/// folds pending in-memory segments into a fresh CompressedIndex via
+/// Builder, and readers
 /// walk base postings through PostingCursor (dense() doubles as the
 /// snapshot's accumulator slot). The skip entries let the pruned top-k
 /// driver (search/ranker.cpp) jump a lagging cursor forward without

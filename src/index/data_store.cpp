@@ -1,10 +1,8 @@
 #include "index/data_store.hpp"
 
 #include <algorithm>
-#include <future>
+#include <iterator>
 #include <stdexcept>
-
-#include "util/thread_pool.hpp"
 
 namespace planetp::index {
 
@@ -15,19 +13,25 @@ DataStore::DataStore(std::uint32_t peer_id, bloom::BloomParams bloom_params,
       counting_filter_(bloom_params),
       epochs_(std::make_unique<EpochIndex>(epoch_config)) {}
 
-void DataStore::index_document(const Document& doc) {
+void DataStore::index_document(Document doc) {
   counts_.clear();
   analyzer_.for_each_term(doc.text, scratch_, [&](std::string_view term) {
-    counts_.add(index_.intern_term(term));
+    counts_.add(dict_.intern(term));
   });
-  index_.add_document_counts(doc.id, counts_);
-  // Feed the counting filter from the dictionary's pre-computed hashes: one
-  // hash per distinct term per store lifetime, shared with index lookups.
-  const TermDictionary& dict = index_.dictionary();
+  if (term_docs_.size() < dict_.size()) term_docs_.resize(dict_.size(), 0);
+
+  const DocumentId id = doc.id;
+  StoredDoc& stored = docs_[id];
+  stored.terms.reserve(counts_.terms().size());
   for (const TermId term : counts_.terms()) {
-    counting_filter_.insert(dict.hash(term));
+    stored.terms.emplace_back(term, counts_.count(term));
+    if (term_docs_[term]++ == 0) ++num_terms_;
+    // Feed the counting filter from the dictionary's pre-computed hashes:
+    // one hash per distinct term per store lifetime.
+    counting_filter_.insert(dict_.hash(term));
   }
-  epochs_->commit_publish(doc.id, dict, counts_);
+  stored.doc = std::move(doc);
+  epochs_->commit_publish(id, dict_, counts_);
 }
 
 DocumentId DataStore::publish(std::string xml_source) {
@@ -40,93 +44,13 @@ DocumentId DataStore::publish_as(std::uint32_t local_id, std::string xml_source)
     throw std::invalid_argument("DataStore::publish_as: local id already in use");
   }
   // Parse before burning the id: a malformed document leaves the store (and
-  // the id counter) untouched, whether published directly or via a batch.
+  // the id counter) untouched.
   Document doc = make_document(id, std::move(xml_source));
   if (local_id >= next_local_id_) next_local_id_ = local_id + 1;
 
-  index_document(doc);
-  docs_[id] = std::move(doc);
+  index_document(std::move(doc));
   ++filter_version_;
   return id;
-}
-
-DataStore::PreparedDoc DataStore::prepare(DocumentId id, std::string xml_source) const {
-  PreparedDoc out;
-  out.doc = make_document(id, std::move(xml_source));
-  // Aggregate term counts in first-occurrence order so the commit interns
-  // terms exactly as the streaming (sequential) path would. The scratch and
-  // the position map are per-worker-thread (one task runs at a time on a
-  // thread), so their buffers and the analyzer memo survive across tasks.
-  static thread_local text::AnalyzerScratch scratch;
-  static thread_local std::unordered_map<std::string, std::size_t, StringHash, std::equal_to<>>
-      position;
-  position.clear();
-  analyzer_.for_each_term(out.doc.text, scratch, [&](std::string_view term) {
-    auto it = position.find(term);
-    if (it == position.end()) {
-      position.emplace(std::string(term), out.term_counts.size());
-      out.term_counts.emplace_back(std::string(term), 1);
-    } else {
-      ++out.term_counts[it->second].second;
-    }
-  });
-  return out;
-}
-
-void DataStore::commit_prepared(PreparedDoc&& prepared) {
-  const DocumentId id = prepared.doc.id;
-  if (docs_.contains(id)) {
-    throw std::invalid_argument("DataStore::publish_batch: local id already in use");
-  }
-  if (id.local >= next_local_id_) next_local_id_ = id.local + 1;
-
-  counts_.clear();
-  for (const auto& [term, freq] : prepared.term_counts) {
-    counts_.add(index_.intern_term(term), freq);
-  }
-  index_.add_document_counts(id, counts_);
-  const TermDictionary& dict = index_.dictionary();
-  for (const TermId term : counts_.terms()) {
-    counting_filter_.insert(dict.hash(term));
-  }
-  epochs_->commit_publish(id, dict, counts_);
-  docs_[id] = std::move(prepared.doc);
-  ++filter_version_;
-}
-
-std::vector<DocumentId> DataStore::publish_batch(std::vector<std::string> xml_sources,
-                                                 ThreadPool* pool) {
-  std::vector<DocumentId> ids;
-  ids.reserve(xml_sources.size());
-  if (pool == nullptr || xml_sources.size() < 2) {
-    for (std::string& xml : xml_sources) {
-      ids.push_back(publish(std::move(xml)));
-    }
-    return ids;
-  }
-
-  // Parse + analyze in parallel; commit strictly in document order below, so
-  // the resulting dictionary/index/filter are identical to a sequential
-  // publish loop regardless of worker count or completion order.
-  const std::uint32_t base = next_local_id_;
-  std::vector<std::future<PreparedDoc>> prepared;
-  prepared.reserve(xml_sources.size());
-  for (std::size_t i = 0; i < xml_sources.size(); ++i) {
-    const DocumentId id{peer_id_, base + static_cast<std::uint32_t>(i)};
-    prepared.push_back(pool->submit(
-        [this, id, xml = std::move(xml_sources[i])]() mutable {
-          return prepare(id, std::move(xml));
-        }));
-  }
-  for (std::future<PreparedDoc>& fut : prepared) {
-    // get() rethrows a malformed-XML error after all earlier documents were
-    // committed — the same state a sequential loop leaves behind.
-    PreparedDoc doc = fut.get();
-    const DocumentId id = doc.doc.id;
-    commit_prepared(std::move(doc));
-    ids.push_back(id);
-  }
-  return ids;
 }
 
 DocumentId DataStore::publish_text(std::string_view title, std::string_view body) {
@@ -136,22 +60,21 @@ DocumentId DataStore::publish_text(std::string_view title, std::string_view body
 bool DataStore::unpublish(DocumentId id) {
   auto it = docs_.find(id);
   if (it == docs_.end()) return false;
-  docs_.erase(it);
-  // Capture the document's exact postings before the index forgets them:
-  // the epoch tombstone needs them so snapshot-wide collection statistics
-  // keep matching a store that never indexed the document. The counting
-  // filter is fed from the same pass (hashes pre-computed by the
-  // dictionary).
-  const TermDictionary& dict = index_.dictionary();
-  const std::uint32_t doc_length = index_.document_length(id);
+  // The epoch tombstone carries the document's exact term frequencies so
+  // snapshot-wide collection statistics keep matching a store that never
+  // indexed the document; the counting filter is un-counted in the same
+  // pass.
+  const std::vector<std::pair<TermId, std::uint32_t>>& terms = it->second.terms;
+  std::uint32_t doc_length = 0;
   std::vector<std::pair<std::string, std::uint32_t>> term_freqs;
-  const std::vector<TermId>& term_ids = index_.document_term_ids(id);
-  term_freqs.reserve(term_ids.size());
-  for (const TermId term : term_ids) {
-    counting_filter_.remove(dict.hash(term));
-    term_freqs.emplace_back(std::string(dict.term(term)), index_.term_frequency_by_id(term, id));
+  term_freqs.reserve(terms.size());
+  for (const auto& [term, freq] : terms) {
+    counting_filter_.remove(dict_.hash(term));
+    if (--term_docs_[term] == 0) --num_terms_;
+    term_freqs.emplace_back(std::string(dict_.term(term)), freq);
+    doc_length += freq;
   }
-  index_.remove_document(id);
+  docs_.erase(it);
   epochs_->commit_remove(id, doc_length, std::move(term_freqs));
   ++filter_version_;
   return true;
@@ -163,48 +86,60 @@ bool DataStore::republish(DocumentId id, std::string xml_source) {
   Document replacement = make_document(id, std::move(xml_source));
 
   unpublish(id);
-  index_document(replacement);
-  docs_[id] = std::move(replacement);
+  index_document(std::move(replacement));
   ++filter_version_;
   return true;
 }
 
 const Document* DataStore::document(DocumentId id) const {
   auto it = docs_.find(id);
-  return it == docs_.end() ? nullptr : &it->second;
+  return it == docs_.end() ? nullptr : &it->second.doc;
+}
+
+std::vector<DocumentId> DataStore::documents() const {
+  std::vector<DocumentId> out;
+  out.reserve(docs_.size());
+  for (const auto& [id, stored] : docs_) out.push_back(id);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 std::vector<DocumentId> DataStore::search_all_terms(std::string_view query) const {
-  const auto terms = analyzer_.analyze(query);
+  std::vector<std::string> terms = analyzer_.analyze(query);
   if (terms.empty()) return {};
+  std::sort(terms.begin(), terms.end());
+  terms.erase(std::unique(terms.begin(), terms.end()), terms.end());
 
-  // Intersect postings, starting with the rarest term.
-  std::vector<std::string> unique(terms.begin(), terms.end());
-  std::sort(unique.begin(), unique.end());
-  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  std::sort(unique.begin(), unique.end(), [&](const std::string& a, const std::string& b) {
-    return index_.document_frequency(a) < index_.document_frequency(b);
-  });
+  // Intersect live postings, rarest term first (collection frequency is the
+  // snapshot's cheap proxy for posting-list length); a term with no live
+  // occurrence empties the answer outright.
+  const std::shared_ptr<const EpochSnapshot> snap = snapshot();
+  std::vector<std::pair<std::uint64_t, std::string_view>> by_rarity;
+  by_rarity.reserve(terms.size());
+  for (const std::string& term : terms) {
+    const std::uint64_t cf = snap->collection_frequency(term);
+    if (cf == 0) return {};
+    by_rarity.emplace_back(cf, term);
+  }
+  std::sort(by_rarity.begin(), by_rarity.end());
 
   std::vector<DocumentId> result;
-  bool first = true;
-  for (const auto& term : unique) {
-    const auto& plist = index_.postings(term);
-    if (plist.empty()) return {};
-    std::vector<DocumentId> docs_with_term;
-    docs_with_term.reserve(plist.size());
-    for (const Posting& p : plist) docs_with_term.push_back(p.doc);
-    std::sort(docs_with_term.begin(), docs_with_term.end());
-    if (first) {
-      result = std::move(docs_with_term);
-      first = false;
+  std::vector<DocumentId> with_term;
+  for (std::size_t i = 0; i < by_rarity.size(); ++i) {
+    with_term.clear();
+    snap->for_each_posting(by_rarity[i].second, [&](std::uint32_t slot, std::uint32_t) {
+      with_term.push_back(snap->doc_at_slot(slot));
+    });
+    std::sort(with_term.begin(), with_term.end());
+    if (i == 0) {
+      result.swap(with_term);
     } else {
-      std::vector<DocumentId> merged;
-      std::set_intersection(result.begin(), result.end(), docs_with_term.begin(),
-                            docs_with_term.end(), std::back_inserter(merged));
-      result = std::move(merged);
-      if (result.empty()) return {};
+      std::vector<DocumentId> both;
+      std::set_intersection(result.begin(), result.end(), with_term.begin(), with_term.end(),
+                            std::back_inserter(both));
+      result = std::move(both);
     }
+    if (result.empty()) return {};
   }
   return result;
 }

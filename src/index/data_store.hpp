@@ -2,16 +2,16 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "bloom/counting_bloom.hpp"
 #include "index/document.hpp"
 #include "index/epoch_index.hpp"
-#include "index/inverted_index.hpp"
+#include "index/term_dictionary.hpp"
 #include "text/analyzer.hpp"
 
 /// \file data_store.hpp
@@ -21,23 +21,21 @@
 /// gossips; a monotonically increasing version number tracks changes so the
 /// directory can tell stale summaries from fresh ones.
 ///
-/// Publishing is the store's hot path: text streams through the analyzer's
-/// allocation-free pipeline straight into the interned term dictionary, and
-/// the counting Bloom filter is fed from the dictionary's pre-computed
-/// hashes (each distinct term is hashed exactly once per store lifetime).
-/// publish_batch can additionally shard the parse+analyze work across a
-/// ThreadPool while committing in document order, so the resulting store is
-/// identical to a sequential publish loop. See docs/INDEX.md.
+/// The index is the epoch pipeline (epoch_index.hpp) and nothing else:
+/// every commit (one published or removed document) publishes an immutable
+/// EpochSnapshot, and both ranked queries and search_all_terms read from
+/// it. Concurrent readers call snapshot() — thread-safe, a bounded pointer
+/// copy — and rank against it while further publishes and removals
+/// proceed. See docs/INDEX.md "Epochs & concurrent readers".
 ///
-/// Mutation stays single-writer, but every commit also publishes an
-/// immutable EpochSnapshot (epoch_index.hpp): concurrent readers call
-/// snapshot() — thread-safe, a bounded pointer copy — and rank against it while further
-/// publishes and removals proceed. See docs/INDEX.md "Epochs & concurrent
-/// readers".
-
-namespace planetp {
-class ThreadPool;
-}
+/// Besides the epochs, the store keeps only the writer-side bookkeeping a
+/// commit needs: the interned term dictionary (text streams through the
+/// analyzer's allocation-free pipeline straight into it, and the counting
+/// Bloom filter is fed from its pre-computed hashes, so each distinct term
+/// is hashed once per store lifetime), each document's (term, frequency)
+/// list so unpublish can write an exact tombstone and un-count the filter
+/// without touching any posting list, and per-term live-document counts
+/// behind num_terms(). Mutation is single-writer.
 
 namespace planetp::index {
 
@@ -57,15 +55,6 @@ class DataStore {
   /// Publish under a caller-chosen local id (snapshot restore: documents
   /// must keep their community-visible ids). Throws if the id is taken.
   DocumentId publish_as(std::uint32_t local_id, std::string xml_source);
-
-  /// Publish a batch of XML documents. With \p pool, parsing and analysis
-  /// run in parallel and results are committed in document order, producing
-  /// a store (index, dictionary, filter, versions) identical to publishing
-  /// the batch sequentially. On a malformed document the exception
-  /// propagates after all earlier documents in the batch were committed —
-  /// the same state a sequential loop would leave behind.
-  std::vector<DocumentId> publish_batch(std::vector<std::string> xml_sources,
-                                        ThreadPool* pool = nullptr);
 
   /// The next local id publish() would assign (snapshot metadata).
   std::uint32_t next_local_id() const { return next_local_id_; }
@@ -88,7 +77,8 @@ class DataStore {
   const Document* document(DocumentId id) const;
 
   /// Documents whose text contains *all* query terms (local exhaustive
-  /// search; terms are analyzed with the same pipeline as documents).
+  /// search; terms are analyzed with the same pipeline as documents),
+  /// ids ascending. Answered from the current snapshot.
   std::vector<DocumentId> search_all_terms(std::string_view query) const;
 
   /// Current Bloom filter (plain projection of the counting filter).
@@ -98,7 +88,13 @@ class DataStore {
   /// set summary.
   std::uint64_t filter_version() const { return filter_version_; }
 
-  const InvertedIndex& index() const { return index_; }
+  /// Distinct terms across the live documents: the key count the peer
+  /// gossips alongside its filter.
+  std::size_t num_terms() const { return num_terms_; }
+
+  /// The store-local term dictionary (append-only; ids never leave the
+  /// process, see term_dictionary.hpp).
+  const TermDictionary& dictionary() const { return dict_; }
 
   /// The current published index epoch. Thread-safe against concurrent
   /// publishes/removals (the wait is bounded by a pointer copy); the
@@ -121,32 +117,31 @@ class DataStore {
   std::size_t num_documents() const { return docs_.size(); }
 
   /// All stored documents (ids ascending).
-  std::vector<DocumentId> documents() const { return index_.documents(); }
+  std::vector<DocumentId> documents() const;
 
  private:
-  /// Analyzed term counts of one document, pre-aggregated off the store
-  /// (used by the parallel batch path; terms are strings because dictionary
-  /// interning must stay single-threaded). First-occurrence order, so
-  /// committing interns terms in the same order a sequential publish would.
-  struct PreparedDoc {
+  /// A stored document with its distinct terms and their frequencies, in
+  /// first-occurrence order (the exact postings its commit wrote).
+  struct StoredDoc {
     Document doc;
-    std::vector<std::pair<std::string, std::uint32_t>> term_counts;
+    std::vector<std::pair<TermId, std::uint32_t>> terms;
   };
 
-  PreparedDoc prepare(DocumentId id, std::string xml_source) const;
-  void commit_prepared(PreparedDoc&& prepared);
-  /// Streaming index+filter update for an already-parsed document.
-  void index_document(const Document& doc);
+  /// Index an already-parsed document: dictionary, term counts, filter and
+  /// one epoch commit.
+  void index_document(Document doc);
 
   std::uint32_t peer_id_;
   std::uint32_t next_local_id_ = 0;
   text::Analyzer analyzer_;
-  InvertedIndex index_;
+  TermDictionary dict_;
+  /// Live documents containing each term, by TermId.
+  std::vector<std::uint32_t> term_docs_;
+  std::size_t num_terms_ = 0;
   bloom::CountingBloomFilter counting_filter_;
   std::uint64_t filter_version_ = 0;
-  std::unordered_map<DocumentId, Document, DocumentIdHash> docs_;
-  /// Reusable analysis buffers (single publish is single-threaded; the
-  /// parallel batch path uses per-task scratches instead).
+  std::unordered_map<DocumentId, StoredDoc, DocumentIdHash> docs_;
+  /// Reusable analysis buffers (publishing is single-threaded).
   text::AnalyzerScratch scratch_;
   TermCounts counts_;
   /// Epoch pipeline (owns the background merge thread and the published

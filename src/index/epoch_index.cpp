@@ -12,8 +12,9 @@ const IndexSegment::TermEntry* IndexSegment::find(std::string_view term) const {
   return &*it;
 }
 
-std::uint64_t EpochSnapshot::collection_frequency(std::string_view term) const {
-  std::uint64_t cf = base_ == nullptr ? 0 : base_->collection_frequency(term);
+std::uint64_t EpochSnapshot::collection_frequency(std::string_view term,
+                                                  std::uint64_t base_cf) const {
+  std::uint64_t cf = base_cf;
   for (const auto& seg : segments_) cf += seg->collection_frequency(term);
   if (!dead_cf_.empty()) {
     auto it = dead_cf_.find(term);

@@ -19,12 +19,12 @@
 /// peer serve thousands of ranked queries while documents stream in
 /// (docs/INDEX.md "Epochs & concurrent readers").
 ///
-/// The mutable InvertedIndex stays the single-writer write path. Every
-/// DataStore commit (one published/removed document) additionally appends an
-/// immutable delta — a small in-memory IndexSegment, or an EpochTombstone
-/// carrying the removed document's exact term frequencies — and publishes a
-/// new EpochSnapshot: base CompressedIndex + pending segments + pending
-/// tombstones behind one `shared_ptr`. Readers copy the snapshot pointer
+/// The epoch pipeline is a DataStore's only index. Every commit (one
+/// published/removed document, single-writer) appends an immutable delta —
+/// a small in-memory IndexSegment, or an EpochTombstone carrying the removed
+/// document's exact term frequencies — and publishes a new EpochSnapshot:
+/// base CompressedIndex + pending segments + pending tombstones behind one
+/// `shared_ptr`. Readers copy the snapshot pointer
 /// (a mutex-guarded two-refcount-op critical section — see snapshot()) and
 /// rank entirely outside any lock; the snapshot pins everything it
 /// needs, so it stays valid (and keeps scoring removed documents) for as
@@ -44,7 +44,7 @@
 /// The correctness contract is byte-identity: ranking any EpochSnapshot
 /// (search::score_snapshot / SnapshotRanker) produces bit-for-bit the same
 /// scores, documents, and tie-breaks as ranking a sequential single-threaded
-/// store holding the same documents — regardless of segment layout, merge
+/// index holding the same documents — regardless of segment layout, merge
 /// timing, or how many removals are still unfolded. The arithmetic argument:
 /// scoring accumulates per-document sums in lexicographic term order on both
 /// paths, collection statistics are exact integers (tombstones carry the
@@ -100,8 +100,8 @@ struct EpochTombstone {
 /// One published epoch: an immutable, self-contained view of the store's
 /// index. Readers rank against it lock-free; the shared_ptr members pin the
 /// base and every segment/tombstone, so a held snapshot never changes and
-/// never dangles. Accessors mirror the InvertedIndex statistics the ranking
-/// equations need, adjusted exactly for unfolded removals.
+/// never dangles. Accessors expose the statistics the ranking equations
+/// need, adjusted exactly for unfolded removals.
 class EpochSnapshot {
  public:
   std::uint64_t epoch() const { return epoch_; }
@@ -111,7 +111,13 @@ class EpochSnapshot {
   std::size_t num_documents() const { return num_docs_; }
 
   /// f_t across live documents (IDF input; exact integer arithmetic).
-  std::uint64_t collection_frequency(std::string_view term) const;
+  std::uint64_t collection_frequency(std::string_view term) const {
+    return collection_frequency(term, base_ == nullptr ? 0 : base_->collection_frequency(term));
+  }
+  /// The same, for a caller that already holds the base's f_t (a base
+  /// posting cursor carries it): adds pending segments and subtracts
+  /// pending tombstones without probing the base again.
+  std::uint64_t collection_frequency(std::string_view term, std::uint64_t base_cf) const;
 
   /// Accumulator domain: dense base ids then segment documents, in order.
   /// Dead occurrences own a (never-touched) slot too.

@@ -11,19 +11,20 @@
 #include "index/term_dictionary.hpp"
 
 /// \file inverted_index.hpp
-/// Per-peer inverted index: term -> postings (document, term frequency).
-/// This is the structure each peer keeps over its local data store (§2); its
-/// term set is what the peer's Bloom filter summarizes, and its postings
-/// supply the f_{D,t} and |D| statistics of the ranking equations (§5.2).
+/// Mutable inverted index over a static collection: term -> postings
+/// (document, term frequency), supplying the f_{D,t} and |D| statistics of
+/// the ranking equations (§5.2). It is the merged-collection index of the
+/// §7.3 centralized TFxIDF baseline and the sequential reference the
+/// identity tests rank against; a peer's own store indexes through the
+/// epoch pipeline instead (data_store.hpp, epoch_index.hpp).
 ///
 /// Internally the index is keyed by dense store-local TermIds from an
 /// interned TermDictionary, and every document gets a dense *slot* so the
 /// ranker can accumulate scores into a flat array instead of a hash map
 /// (Witten, Moffat & Bell's term-number + accumulator-array organization).
-/// The string-keyed API below is a thin adapter over the TermId core, so
-/// existing callers (DataStore, persistence, CompressedIndex::build, tests)
-/// keep working unchanged. TermIds and slots are store-local and must never
-/// leak into wire or disk formats; see docs/INDEX.md.
+/// The string-keyed API below is a thin adapter over the TermId core.
+/// TermIds and slots are index-local and must never leak into wire or disk
+/// formats; see docs/INDEX.md.
 
 namespace planetp::index {
 
@@ -133,14 +134,6 @@ class InvertedIndex {
   /// Postings by term id (empty for kInvalidTermId or never-posted terms).
   const std::vector<Posting>& postings_by_id(TermId term) const {
     return term < terms_.size() ? terms_[term].postings : empty_postings_();
-  }
-
-  /// f_{D,t} by term id (0 when absent); linear scan of the posting list.
-  std::uint32_t term_frequency_by_id(TermId term, DocumentId doc) const {
-    for (const Posting& p : postings_by_id(term)) {
-      if (p.doc == doc) return p.term_freq;
-    }
-    return 0;
   }
 
   /// Dense doc slots parallel to postings_by_id(term): slots()[i] is the

@@ -9,7 +9,7 @@
 /// \file persistence.hpp
 /// Durable storage for a peer's local data store. A PlanetP peer that goes
 /// offline keeps its published documents; on restart it reloads them,
-/// rebuilds its inverted index and Bloom filter, and rejoins the community
+/// rebuilds its index epochs and Bloom filter, and rejoins the community
 /// with the same content (its rejoin rumor re-advertises the filter).
 ///
 /// Format (versioned, little-endian, ByteWriter framing):

@@ -75,7 +75,7 @@ void LiveNode::start() {
     std::lock_guard<std::mutex> lock(mu_);
     ByteWriter w;
     bloom::encode_filter(w, store_.bloom_filter());
-    const auto key_count = static_cast<std::uint32_t>(store_.index().num_terms());
+    const auto key_count = static_cast<std::uint32_t>(store_.num_terms());
     if (bootstrap_requested_) {
       // Converged start: install everyone quietly, no join rumor. When the
       // seeded records carried a version for ourselves (restart keeping the
@@ -121,7 +121,7 @@ gossip::PeerRecord LiveNode::bootstrap_record(bool include_filter) const {
   r.link_class = gossip::LinkClass::kFast;
   r.version = 1;
   r.online = true;
-  r.key_count = static_cast<std::uint32_t>(store_.index().num_terms());
+  r.key_count = static_cast<std::uint32_t>(store_.num_terms());
   if (include_filter && r.key_count > 0) {
     ByteWriter w;
     bloom::encode_filter(w, store_.bloom_filter());
@@ -312,7 +312,7 @@ void LiveNode::announce_filter_change(std::uint32_t new_keys) {
     bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
     ByteWriter full_writer;
     bloom::encode_filter(full_writer, current);
-    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.index().num_terms()),
+    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()),
                                   new_keys, diff_writer.take(), full_writer.take(), 0);
     last_announced_ = current;
   }
@@ -323,9 +323,9 @@ index::DocumentId LiveNode::publish(std::string xml) {
   std::size_t before, after;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    before = store_.index().num_terms();
+    before = store_.num_terms();
     doc = store_.publish(std::move(xml));
-    after = store_.index().num_terms();
+    after = store_.num_terms();
   }
   announce_filter_change(static_cast<std::uint32_t>(after - before));
   return doc;

@@ -60,8 +60,8 @@ struct PrunedCursor {
   double wub = 0.0;
 };
 
-/// The one place both bounds are derived — every pruned entry point must
-/// build cursors through this so no screen ever sees a defaulted bound.
+/// The one place both bounds are derived — the pruned driver's cursors are
+/// all built through this so no screen ever sees a defaulted bound.
 PrunedCursor make_pruned_cursor(CompressedIndex::PostingCursor cur, double weight) {
   const double ub = cur.list_max() * weight * kBoundSlack;
   const double wub = doc_weight(cur.list_max_freq()) * weight * kBoundSlack;
@@ -69,8 +69,7 @@ PrunedCursor make_pruned_cursor(CompressedIndex::PostingCursor cur, double weigh
 }
 
 /// Per-thread scratch reused across queries: the eval hot path performs no
-/// per-query allocations in steady state (vectors keep their capacity, the
-/// weights map keeps its buckets).
+/// per-query allocations in steady state (vectors keep their capacity).
 struct RankScratch {
   std::vector<std::pair<std::string_view, double>> weighted;  ///< lex-sorted query
   std::vector<std::string_view> sorted_terms;
@@ -149,25 +148,41 @@ void sort_weighted_terms(const std::unordered_map<std::string, double>& term_wei
   std::sort(sorted.begin(), sorted.end());
 }
 
-/// Accumulate eq. 2 partial sums over a snapshot's slot domain. Per
-/// document, contributions arrive in the same lexicographic term order as
-/// accumulate() above (a document has at most one live posting per term),
-/// so the per-slot sums are bitwise identical to a sequential store's.
-void accumulate_snapshot(const index::EpochSnapshot& snap,
-                         const std::vector<std::pair<std::string_view, double>>& terms,
-                         std::vector<double>& acc, std::vector<std::uint32_t>& touched) {
-  acc.assign(snap.slot_count(), 0.0);
-  touched.clear();
-  for (const auto& [term, weight] : terms) {
+/// Accumulate eq. 2 partial sums over a snapshot's slot domain: base
+/// postings through s.cursors (one per weighted term the base holds, in
+/// lexicographic order), pending segment postings through the snapshot. A
+/// slot lives in exactly one of the two, and each receives its
+/// contributions in the same lexicographic term order as accumulate() above
+/// (a document has at most one live posting per term), so the per-slot sums
+/// are bitwise identical to an InvertedIndex's.
+void accumulate_snapshot(const index::EpochSnapshot& snap, RankScratch& s) {
+  s.acc.assign(snap.slot_count(), 0.0);
+  s.touched.clear();
+  const bool tombstones = snap.tombstone_count() > 0;
+  for (PrunedCursor& c : s.cursors) {
+    for (; !c.cur.done(); c.cur.next()) {
+      if (tombstones && snap.base_dead(c.cur.doc())) continue;
+      const std::uint32_t dense = c.cur.dense();
+      if (s.acc[dense] == 0.0) s.touched.push_back(dense);
+      s.acc[dense] += score_contribution_memo(c.cur.term_freq(), c.weight);
+    }
+  }
+  for (const auto& [term, weight] : s.weighted) {
     const double w = weight;
-    snap.for_each_posting(term, [&acc, &touched, w](std::uint32_t slot, std::uint32_t freq) {
-      if (acc[slot] == 0.0) touched.push_back(slot);
-      acc[slot] += score_contribution_memo(freq, w);
+    snap.for_each_segment_posting(term, [&s, w](std::uint32_t slot, std::uint32_t freq) {
+      if (s.acc[slot] == 0.0) s.touched.push_back(slot);
+      s.acc[slot] += score_contribution_memo(freq, w);
     });
   }
 }
 
 ScoredDoc snapshot_scored_at(const index::EpochSnapshot& snap, std::uint32_t slot, double sum) {
+  // Base slots read the base's precomputed norm (the same bits as
+  // length_norm of the document's length).
+  const CompressedIndex* base = snap.base();
+  if (base != nullptr && slot < base->num_documents()) {
+    return ScoredDoc{base->doc_at(slot), sum * base->doc_norm_at(slot)};
+  }
   return ScoredDoc{snap.doc_at_slot(slot), sum * length_norm(snap.doc_length_at_slot(slot))};
 }
 
@@ -201,13 +216,14 @@ std::vector<ScoredDoc> select_top_k(const std::vector<std::uint32_t>& touched, s
   return heap;
 }
 
-/// The rank-safe block-max pruned scan over a block-structured
-/// CompressedIndex (docs/INDEX.md "Block-max pruning"). Inputs:
-///   - s.cursors: the query's non-empty posting cursors in lexicographic
-///     term order, ub = list_max * weight * kBoundSlack;
+/// The rank-safe block-max pruned scan over a snapshot's block-structured
+/// base CompressedIndex (docs/INDEX.md "Block-max pruning"). Inputs:
+///   - s.cursors: the query's non-empty base posting cursors in
+///     lexicographic term order, ub = list_max * weight * kBoundSlack;
 ///   - s.heap: the bounded min-heap, possibly pre-seeded with *exact*
 ///     scores from outside the base (pending epoch segments);
-///   - is_dead(doc): drops tombstone-killed base occurrences per candidate.
+///   - snap.base_dead(doc): drops tombstone-killed base occurrences per
+///     candidate.
 /// On return s.heap holds the best k of {seeds} ∪ {live base documents},
 /// unsorted.
 ///
@@ -229,9 +245,9 @@ std::vector<ScoredDoc> select_top_k(const std::vector<std::uint32_t>& touched, s
 /// decision compares an inflated upper bound *strictly* against the
 /// threshold, so no document the exhaustive path would keep is ever
 /// dropped (rank safety; the property test pins byte-identity).
-template <typename DeadFn>
-void pruned_base_scan(const CompressedIndex& ci, std::size_t k, DeadFn&& is_dead,
-                      RankScratch& s, PruneStats* stats) {
+void pruned_base_scan(const index::EpochSnapshot& snap, std::size_t k, RankScratch& s,
+                      PruneStats* stats) {
+  const CompressedIndex& ci = *snap.base();
   const std::size_t m = s.cursors.size();
   if (m == 0 || k == 0) return;
 
@@ -302,7 +318,7 @@ void pruned_base_scan(const CompressedIndex& ci, std::size_t k, DeadFn&& is_dead
         // round's block — a document is never offered twice.
         if (std::binary_search(s.warm.begin(), s.warm.begin() + sorted_end, dw)) continue;
         s.warm.push_back(dw);
-        if (is_dead(ci.doc_at(dw))) continue;
+        if (snap.base_dead(ci.doc_at(dw))) continue;
         const double norm = ci.doc_norm_at(dw);
         if (s.heap.size() >= k) {
           // Zero-decode norm-aware screen, same bounds as the main scan's
@@ -573,7 +589,7 @@ void pruned_base_scan(const CompressedIndex& ci, std::size_t k, DeadFn&& is_dead
     // screen: the screens are score-only (a dead document abandoned by a
     // bound was going to be dropped anyway), and the per-candidate doc-id
     // load + liveness probe is pure overhead for the ~97% the screens kill.
-    if (is_dead(ci.doc_at(slot))) return;
+    if (snap.base_dead(ci.doc_at(slot))) return;
     // Staged exact evaluation. The reported score must accumulate every
     // matching list in global lexicographic order from 0.0, so exact
     // contributions are collected per cursor first and summed at the end —
@@ -737,39 +753,6 @@ void pruned_base_scan(const CompressedIndex& ci, std::size_t k, DeadFn&& is_dead
   }
 }
 
-/// Build the query's cursors (one hash probe per term — the cursor carries
-/// df, cf, and the list bound) from lex-sorted (term, weight) pairs.
-/// Returns the total candidate postings.
-std::uint64_t build_cursors(const CompressedIndex& ci, RankScratch& s) {
-  s.cursors.clear();
-  std::uint64_t total = 0;
-  for (const auto& [term, weight] : s.weighted) {
-    auto cur = ci.postings(term);
-    if (cur.done()) continue;
-    total += cur.size();
-    s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
-  }
-  return total;
-}
-
-/// Exhaustive cursor scoring over a CompressedIndex (the fallback arm):
-/// accumulator array + bounded heap, byte-identical to ci.score + truncate.
-std::vector<ScoredDoc> compressed_exhaustive_top_k(const CompressedIndex& ci, std::size_t k,
-                                                   RankScratch& s) {
-  s.acc.assign(ci.num_documents(), 0.0);
-  s.touched.clear();
-  for (PrunedCursor& c : s.cursors) {
-    for (; !c.cur.done(); c.cur.next()) {
-      const std::uint32_t dense = c.cur.dense();
-      if (s.acc[dense] == 0.0) s.touched.push_back(dense);
-      s.acc[dense] += score_contribution_memo(c.cur.term_freq(), c.weight);
-    }
-  }
-  return select_top_k(s.touched, k, [&](std::uint32_t dense) {
-    return ScoredDoc{ci.doc_at(dense), s.acc[dense] * ci.doc_norm_at(dense)};
-  });
-}
-
 }  // namespace
 
 std::vector<ScoredDoc> score_documents(
@@ -799,24 +782,18 @@ std::vector<ScoredDoc> score_documents(
   return out;
 }
 
-void TfIdfRanker::idf_weights(const std::vector<std::string>& terms,
-                              std::unordered_map<std::string, double>& out) const {
-  out.clear();
-  for (const std::string& t : terms) {
-    if (out.contains(t)) continue;
-    out.emplace(t, idf(index_->num_documents(), index_->collection_frequency(t)));
-  }
-}
-
 std::unordered_map<std::string, double> TfIdfRanker::idf_weights(
     const std::vector<std::string>& terms) const {
   std::unordered_map<std::string, double> weights;
-  idf_weights(terms, weights);
+  for (const std::string& t : terms) {
+    if (weights.contains(t)) continue;
+    weights.emplace(t, idf(index_->num_documents(), index_->collection_frequency(t)));
+  }
   return weights;
 }
 
-std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms, std::size_t k,
-                                          PruneStats* stats) const {
+std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
+                                          std::size_t k) const {
   if (k == 0) return {};
   const InvertedIndex& idx = *index_;
   RankScratch& s = scratch();
@@ -826,37 +803,6 @@ std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
   std::sort(s.sorted_terms.begin(), s.sorted_terms.end());
   s.sorted_terms.erase(std::unique(s.sorted_terms.begin(), s.sorted_terms.end()),
                        s.sorted_terms.end());
-
-  if (accel_ != nullptr) {
-    // Pruned path over the accelerator snapshot. IDF inputs come from the
-    // accelerator's statistics — equal to the live index's by the sync
-    // contract — and each term costs one hash probe (the cursor carries cf
-    // and the list bound).
-    const CompressedIndex& ci = *accel_;
-    s.weighted.clear();
-    s.cursors.clear();
-    std::uint64_t total = 0;
-    for (const std::string_view term : s.sorted_terms) {
-      auto cur = ci.postings(term);
-      if (cur.done()) continue;
-      const double weight = idf(ci.num_documents(), cur.collection_freq());
-      if (weight <= 0.0) continue;
-      total += cur.size();
-      s.weighted.emplace_back(term, weight);
-      s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
-    }
-    if (k >= ci.num_documents() || total < kMinPrunedPostings ||
-        ci.num_documents() < kMinPrunedDocs) {
-      if (stats) ++stats->prune_fallbacks;
-      return compressed_exhaustive_top_k(ci, k, s);
-    }
-    if (stats) ++stats->pruned_queries;
-    s.heap.clear();
-    pruned_base_scan(ci, k, [](index::DocumentId) { return false; }, s, stats);
-    std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
-    std::sort(out.begin(), out.end(), ranks_before);
-    return out;
-  }
 
   s.resolved.entries.clear();
   for (const std::string_view term : s.sorted_terms) {
@@ -875,7 +821,14 @@ std::vector<ScoredDoc> score_snapshot(
     const std::unordered_map<std::string, double>& term_weights) {
   RankScratch& s = scratch();
   sort_weighted_terms(term_weights, s.weighted);
-  accumulate_snapshot(snap, s.weighted, s.acc, s.touched);
+  s.cursors.clear();
+  if (const CompressedIndex* base = snap.base()) {
+    for (const auto& [term, weight] : s.weighted) {
+      auto cur = base->postings(term);
+      if (!cur.done()) s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
+    }
+  }
+  accumulate_snapshot(snap, s);
   std::vector<ScoredDoc> out;
   out.reserve(s.touched.size());
   for (const std::uint32_t slot : s.touched) {
@@ -885,39 +838,13 @@ std::vector<ScoredDoc> score_snapshot(
   return out;
 }
 
-std::vector<ScoredDoc> compressed_top_k(const CompressedIndex& ci,
-                                        const std::unordered_map<std::string, double>& term_weights,
-                                        std::size_t k, PruneStats* stats) {
-  if (k == 0) return {};
-  RankScratch& s = scratch();
-  sort_weighted_terms(term_weights, s.weighted);
-  const std::uint64_t total = build_cursors(ci, s);
-  if (k >= ci.num_documents() || total < kMinPrunedPostings ||
-      ci.num_documents() < kMinPrunedDocs) {
-    if (stats) ++stats->prune_fallbacks;
-    return compressed_exhaustive_top_k(ci, k, s);
-  }
-  if (stats) ++stats->pruned_queries;
-  s.heap.clear();
-  pruned_base_scan(ci, k, [](index::DocumentId) { return false; }, s, stats);
-  std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
-  std::sort(out.begin(), out.end(), ranks_before);
-  return out;
-}
-
-void SnapshotRanker::idf_weights(const std::vector<std::string>& terms,
-                                 std::unordered_map<std::string, double>& out) const {
-  out.clear();
-  for (const std::string& t : terms) {
-    if (out.contains(t)) continue;
-    out.emplace(t, idf(snap_->num_documents(), snap_->collection_frequency(t)));
-  }
-}
-
 std::unordered_map<std::string, double> SnapshotRanker::idf_weights(
     const std::vector<std::string>& terms) const {
   std::unordered_map<std::string, double> weights;
-  idf_weights(terms, weights);
+  for (const std::string& t : terms) {
+    if (weights.contains(t)) continue;
+    weights.emplace(t, idf(snap_->num_documents(), snap_->collection_frequency(t)));
+  }
   return weights;
 }
 
@@ -933,25 +860,35 @@ std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& ter
   s.sorted_terms.erase(std::unique(s.sorted_terms.begin(), s.sorted_terms.end()),
                        s.sorted_terms.end());
 
+  // Weights and base cursors in one pass: each term probes the base once,
+  // and its cursor carries the base's collection frequency, to which the
+  // snapshot adds its pending segments and tombstones.
+  const CompressedIndex* base = snap.base();
+  const std::size_t live = snap.num_documents();
   s.weighted.clear();
+  s.cursors.clear();
+  std::uint64_t base_postings = 0;
   for (const std::string_view term : s.sorted_terms) {
-    const double weight = idf(snap.num_documents(), snap.collection_frequency(term));
-    if (weight > 0.0) s.weighted.emplace_back(term, weight);
+    if (base == nullptr) {
+      const double weight = idf(live, snap.collection_frequency(term));
+      if (weight > 0.0) s.weighted.emplace_back(term, weight);
+      continue;
+    }
+    auto cur = base->postings(term);
+    const double weight = idf(live, snap.collection_frequency(term, cur.collection_freq()));
+    if (weight <= 0.0) continue;
+    s.weighted.emplace_back(term, weight);
+    if (cur.done()) continue;
+    base_postings += cur.size();
+    s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
   }
 
-  const CompressedIndex* base = snap.base();
-  std::uint64_t base_postings = 0;
-  bool pruned = base != nullptr && k < snap.num_documents();
-  if (pruned) {
-    base_postings = build_cursors(*base, s);
-    pruned = base_postings >= kMinPrunedPostings &&
-             base->num_documents() >= kMinPrunedDocs;
-  }
-  if (!pruned) {
+  if (base == nullptr || k >= live || base_postings < kMinPrunedPostings ||
+      base->num_documents() < kMinPrunedDocs) {
     // Fallback matrix (docs/INDEX.md): no merged base yet, k covers the
     // whole live corpus, or too few base postings to pay for pruning.
     if (stats) ++stats->prune_fallbacks;
-    accumulate_snapshot(snap, s.weighted, s.acc, s.touched);
+    accumulate_snapshot(snap, s);
     return select_top_k(s.touched, k, [&](std::uint32_t slot) {
       return snapshot_scored_at(snap, slot, s.acc[slot]);
     });
@@ -982,8 +919,7 @@ std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& ter
     heap_offer(s.heap, k, snapshot_scored_at(snap, slot, s.acc[rel]));
   }
 
-  pruned_base_scan(*base, k, [&snap](index::DocumentId doc) { return snap.base_dead(doc); },
-                   s, stats);
+  pruned_base_scan(snap, k, s, stats);
   std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
   std::sort(out.begin(), out.end(), ranks_before);
   return out;

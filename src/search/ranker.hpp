@@ -22,16 +22,19 @@
 /// pinned to be byte-identical to the full-sort path.
 ///
 /// On top of that sits the *pruned* top-k driver (docs/INDEX.md "Block-max
-/// pruning"): when a query runs against a block-structured CompressedIndex
-/// (directly, through a TfIdfRanker accelerator, or as the base of an epoch
-/// snapshot), terms are ordered by score upper bound, a bounded min-heap
-/// maintains the entry threshold, and blocks whose maxima cannot beat the
-/// threshold are skipped outright (MaxScore / Block-Max-WAND). The driver
-/// is rank-safe: its output is byte-identical — scores, documents,
-/// tie-breaks — to exhaustive scoring for every k. Pending epoch segments
-/// and tombstones are handled exactly (segments scored unpruned, tombstoned
-/// documents dropped per candidate), and correctness-critical corner cases
-/// fall back to the exhaustive path.
+/// pruning"): when SnapshotRanker ranks an epoch snapshot whose base is a
+/// block-structured CompressedIndex, terms are ordered by score upper
+/// bound, a bounded min-heap maintains the entry threshold, and blocks
+/// whose maxima cannot beat the threshold are skipped outright (MaxScore /
+/// Block-Max-WAND). The driver is rank-safe: its output is byte-identical —
+/// scores, documents, tie-breaks — to exhaustive scoring for every k.
+/// Pending epoch segments and tombstones are handled exactly (segments
+/// scored unpruned, tombstoned documents dropped per candidate), and
+/// correctness-critical corner cases fall back to the exhaustive path.
+///
+/// score_documents and TfIdfRanker rank a mutable InvertedIndex
+/// exhaustively: the centralized baseline of §7.3 over a static merged
+/// collection, and the reference the identity tests rank against.
 
 namespace planetp::search {
 
@@ -77,21 +80,12 @@ std::vector<ScoredDoc> score_documents(
 
 /// Score all live documents of an immutable epoch snapshot — the lock-free
 /// concurrent-reader path (DataStore::snapshot()). Byte-identical to
-/// score_documents over a sequential store holding the same documents: both
+/// score_documents over an InvertedIndex holding the same documents: both
 /// accumulate score_contribution in lexicographic term order and tie-break
 /// with ranks_before.
 std::vector<ScoredDoc> score_snapshot(
     const index::EpochSnapshot& snap,
     const std::unordered_map<std::string, double>& term_weights);
-
-/// Top-k over a CompressedIndex through the pruned driver. Byte-identical
-/// to `ci.score(term_weights)` + truncate_top_k for every k (the property
-/// test pins this); falls back to exhaustive cursor scoring when pruning
-/// cannot pay off (tiny k·postings, k >= corpus).
-std::vector<ScoredDoc> compressed_top_k(
-    const index::CompressedIndex& ci,
-    const std::unordered_map<std::string, double>& term_weights, std::size_t k,
-    PruneStats* stats = nullptr);
 
 /// The centralized TFxIDF baseline of §7.3: assumes full knowledge of the
 /// community's merged index, scores with IDF weights and returns the top-k.
@@ -100,36 +94,23 @@ class TfIdfRanker {
   explicit TfIdfRanker(const index::InvertedIndex& global_index)
       : index_(&global_index) {}
 
-  /// With \p accel — a CompressedIndex snapshot of the same logical content
-  /// (CompressedIndex::build over \p global_index) — top_k runs the pruned
-  /// block-max driver against it. The caller owns keeping the accelerator
-  /// in sync; results stay byte-identical to the exhaustive path.
-  TfIdfRanker(const index::InvertedIndex& global_index, const index::CompressedIndex* accel)
-      : index_(&global_index), accel_(accel) {}
-
   /// IDF weights for the query terms over the global collection.
   std::unordered_map<std::string, double> idf_weights(
       const std::vector<std::string>& terms) const;
-  /// Allocation-free variant for query loops: fills \p out (cleared, bucket
-  /// capacity reused across calls).
-  void idf_weights(const std::vector<std::string>& terms,
-                   std::unordered_map<std::string, double>& out) const;
 
-  /// Top-k documents by eq. 2. Uses the dense accumulator plus a bounded
-  /// min-heap (or the pruned driver when an accelerator is attached); the
-  /// result is identical to full scoring + truncate_top_k either way.
-  std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k,
-                               PruneStats* stats = nullptr) const;
+  /// Top-k documents by eq. 2: the dense accumulator plus a bounded
+  /// min-heap, identical to full scoring + truncate_top_k.
+  std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k) const;
 
  private:
   const index::InvertedIndex* index_;
-  const index::CompressedIndex* accel_ = nullptr;
 };
 
 /// TFxIDF ranking over an immutable epoch snapshot: the concurrent-reader
-/// analogue of TfIdfRanker. IDF inputs come from the snapshot's exact live
-/// statistics, so results are byte-identical (scores, documents, tie-breaks)
-/// to TfIdfRanker over a sequential store with the same documents.
+/// analogue of TfIdfRanker, and the only caller of the pruned driver. IDF
+/// inputs come from the snapshot's exact live statistics, so results are
+/// byte-identical (scores, documents, tie-breaks) to TfIdfRanker over an
+/// InvertedIndex holding the same documents.
 class SnapshotRanker {
  public:
   explicit SnapshotRanker(const index::EpochSnapshot& snap) : snap_(&snap) {}
@@ -137,9 +118,6 @@ class SnapshotRanker {
   /// IDF weights for the query terms over the snapshot's live collection.
   std::unordered_map<std::string, double> idf_weights(
       const std::vector<std::string>& terms) const;
-  /// Allocation-free variant for query loops (see TfIdfRanker).
-  void idf_weights(const std::vector<std::string>& terms,
-                   std::unordered_map<std::string, double>& out) const;
 
   /// Top-k documents by eq. 2; bounded min-heap, identical result to full
   /// scoring + truncate_top_k. When the snapshot has a block-structured

@@ -67,22 +67,10 @@ void ConvergenceTracker::maybe_converge(const RumorId& id, Active& a, TimePoint 
 // SimCommunity
 // ---------------------------------------------------------------------------
 
-namespace {
-/// The plan actually injected: the configured one plus the legacy
-/// message_drop_prob knob mapped onto a uniform-drop rule.
-FaultPlan effective_fault_plan(const SimConfig& config) {
-  FaultPlan plan = config.faults;
-  if (config.message_drop_prob > 0.0) {
-    plan.drop(FaultScope::any(), TimeWindow::always(), config.message_drop_prob);
-  }
-  return plan;
-}
-}  // namespace
-
 SimCommunity::SimCommunity(SimConfig config)
     : config_(config),
       rng_(config.seed),
-      faults_(effective_fault_plan(config), splitmix64(config.seed ^ 0xfa017u)),
+      faults_(config.faults, splitmix64(config.seed ^ 0xfa017u)),
       links_(std::make_unique<LinkModel>(config.network)),
       stats_(std::make_unique<NetworkStats>(0, config.network.bandwidth_bucket)) {
   if (config_.parallel_round_tick > 0) {

@@ -89,11 +89,9 @@ struct SimConfig {
   std::uint64_t seed = 42;
   /// Scheduled fault injection (drops, duplicates, delays, reordering,
   /// partitions, crash/restarts); see sim/faults.hpp. Everything the plan
-  /// injects is reproducible from `seed`.
+  /// injects is reproducible from `seed`. Uniform message loss is
+  /// `FaultPlan::uniform_drop(p)`.
   FaultPlan faults;
-  /// Legacy uniform-loss knob, kept as a compatibility shim: a non-zero
-  /// value appends `FaultPlan::uniform_drop(p)` to `faults`.
-  double message_drop_prob = 0.0;
   /// Configuration for per-searcher query hot-path caches (searcher_cache()).
   search::CandidateCacheConfig candidate_cache;
 
@@ -178,8 +176,8 @@ class SimCommunity {
   /// the cumulative aggregate over every peer's Protocol, so callers always
   /// see current dissemination counters (relative to the last reset()).
   NetworkStats& stats();
-  /// The effective fault injector (config.faults plus the message_drop_prob
-  /// shim). Its plan and counters are introspectable for tests and benches.
+  /// The fault injector running config.faults. Its plan and counters are
+  /// introspectable for tests and benches.
   FaultInjector& faults() { return faults_; }
   gossip::Protocol& protocol(gossip::PeerId id) { return *peers_[id].protocol; }
   const SimConfig& config() const { return config_; }

@@ -21,8 +21,7 @@
 /// sequence, so every failing scenario reproduces from its seed.
 ///
 /// The same plan drives both runtimes: `SimCommunity` consults an injector in
-/// its dispatch path (the old `SimConfig::message_drop_prob` knob is now a
-/// shim that appends a uniform drop rule), and `net::LiveNode` accepts a
+/// its dispatch path (`SimConfig::faults`), and `net::LiveNode` accepts a
 /// shared injector that wraps its TCP send path, so live tests replay the
 /// exact scenarios the simulator runs.
 
@@ -165,8 +164,8 @@ class FaultPlan {
   FaultPlan& crash(gossip::PeerId peer, TimePoint at, TimePoint restart_at = 0,
                    bool lose_directory = false);
 
-  /// The `SimConfig::message_drop_prob` compatibility shim: every message,
-  /// everywhere, forever, silently lost with probability \p p.
+  /// Uniform message loss: every message, everywhere, forever, silently
+  /// lost with probability \p p.
   static FaultPlan uniform_drop(double p);
 
   bool empty() const { return rules_.empty() && partitions_.empty() && crashes_.empty(); }

@@ -64,9 +64,9 @@ class NetworkStats {
     }
   }
 
-  /// Injected-fault accounting (see sim/faults.hpp). Drops include both the
-  /// FaultPlan's rules and the legacy `message_drop_prob` shim, so loss
-  /// experiments no longer under-report traffic.
+  /// Injected-fault accounting (see sim/faults.hpp): every drop a
+  /// FaultPlan rule or partition makes is counted, so loss experiments
+  /// never under-report traffic.
   void record_dropped(bool partition) {
     ++dropped_messages_;
     if (partition) ++partition_dropped_messages_;

@@ -2,55 +2,23 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <random>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
-
-#include "util/thread_pool.hpp"
 
 namespace planetp::index {
 namespace {
 
-/// Synthetic corpus with heavy vocabulary overlap across documents, so the
-/// dictionary intern order is sensitive to commit order.
-std::vector<std::string> batch_corpus(std::size_t n) {
-  std::vector<std::string> xml;
-  xml.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    std::string body = "gossip replication epidemic ";
-    body += "topic" + std::to_string(i % 7) + " ";
-    body += "entity" + std::to_string(i % 13) + " ";
-    body += "unique" + std::to_string(i);
-    xml.push_back(wrap_text_as_xml("doc" + std::to_string(i), body));
-  }
-  return xml;
-}
-
-/// Assert two stores are identical down to the store-local term ids: same
-/// dictionary intern order, same postings per id, same filter and versions.
-void expect_identical_stores(const DataStore& a, const DataStore& b) {
-  ASSERT_EQ(a.documents(), b.documents());
-  EXPECT_EQ(a.next_local_id(), b.next_local_id());
-  EXPECT_EQ(a.filter_version(), b.filter_version());
-  EXPECT_EQ(a.bloom_filter(), b.bloom_filter());
-
-  const TermDictionary& da = a.index().dictionary();
-  const TermDictionary& db = b.index().dictionary();
-  ASSERT_EQ(da.size(), db.size());
-  for (TermId id = 0; id < da.size(); ++id) {
-    EXPECT_EQ(da.term(id), db.term(id)) << "id " << id;
-    EXPECT_EQ(a.index().postings_by_id(id), b.index().postings_by_id(id))
-        << da.term(id);
-    EXPECT_EQ(a.index().posting_slots(id), b.index().posting_slots(id))
-        << da.term(id);
-    EXPECT_EQ(a.index().collection_frequency_by_id(id),
-              b.index().collection_frequency_by_id(id))
-        << da.term(id);
-  }
-  for (const DocumentId& id : a.documents()) {
-    EXPECT_EQ(a.index().document_length(id), b.index().document_length(id));
-    ASSERT_NE(b.document(id), nullptr);
-    EXPECT_EQ(a.document(id)->title, b.document(id)->title);
-  }
+/// Whether any live document of the store's current snapshot holds \p term
+/// (an analyzed term).
+bool has_term(const DataStore& store, std::string_view term) {
+  return store.snapshot()->collection_frequency(term) > 0;
 }
 
 TEST(DataStore, PublishIndexesText) {
@@ -64,9 +32,10 @@ TEST(DataStore, PublishIndexesText) {
   EXPECT_EQ(doc->title, "Doc One");
 
   // Terms are analyzed (stemmed): "protocols" -> "protocol".
-  EXPECT_TRUE(store.index().contains_term("gossip"));
-  EXPECT_TRUE(store.index().contains_term("protocol"));
-  EXPECT_FALSE(store.index().contains_term("the"));
+  EXPECT_TRUE(has_term(store, "gossip"));
+  EXPECT_TRUE(has_term(store, "protocol"));
+  EXPECT_FALSE(has_term(store, "the"));
+  EXPECT_EQ(store.num_terms(), 4u);  // gossip, protocol, spread, rumor
 }
 
 TEST(DataStore, BloomFilterCoversTerms) {
@@ -99,14 +68,16 @@ TEST(DataStore, SearchAllTermsIsConjunctive) {
 TEST(DataStore, UnpublishRemovesEverywhere) {
   DataStore store(1);
   const auto id = store.publish_text("doomed", "unique zanzibar marker");
-  EXPECT_TRUE(store.index().contains_term("zanzibar"));
+  EXPECT_TRUE(has_term(store, "zanzibar"));
   EXPECT_TRUE(store.bloom_filter().contains("zanzibar"));
+  EXPECT_EQ(store.num_terms(), 3u);
 
   EXPECT_TRUE(store.unpublish(id));
   EXPECT_FALSE(store.unpublish(id));
   EXPECT_EQ(store.document(id), nullptr);
-  EXPECT_FALSE(store.index().contains_term("zanzibar"));
+  EXPECT_FALSE(has_term(store, "zanzibar"));
   EXPECT_FALSE(store.bloom_filter().contains("zanzibar"));
+  EXPECT_EQ(store.num_terms(), 0u);
 }
 
 TEST(DataStore, SharedTermsSurviveUnpublish) {
@@ -115,7 +86,8 @@ TEST(DataStore, SharedTermsSurviveUnpublish) {
   store.publish_text("b", "shared quokka elsewhere");
   store.unpublish(d1);
   EXPECT_TRUE(store.bloom_filter().contains("quokka"));
-  EXPECT_TRUE(store.index().contains_term("quokka"));
+  EXPECT_TRUE(has_term(store, "quokka"));
+  EXPECT_EQ(store.num_terms(), 3u);  // shared, quokka, elsewher
 }
 
 TEST(DataStore, FilterVersionIncrements) {
@@ -187,63 +159,114 @@ TEST(DataStore, RepublishMalformedXmlLeavesOldVersion) {
   EXPECT_EQ(store.document(id)->title, "keep");
 }
 
-TEST(DataStore, BatchPublishSequentialFallbackMatchesLoop) {
-  // publish_batch with no pool must behave exactly like a publish() loop.
-  const auto corpus = batch_corpus(24);
-  DataStore loop(4);
-  for (const std::string& xml : corpus) loop.publish(xml);
-  DataStore batch(4);
-  const auto ids = batch.publish_batch(corpus, nullptr);
-  ASSERT_EQ(ids.size(), corpus.size());
-  for (std::size_t i = 1; i < ids.size(); ++i) EXPECT_LT(ids[i - 1].local, ids[i].local);
-  expect_identical_stores(loop, batch);
+// ---------------------------------------------------------------------------
+// Seeded property: the store's term census, conjunctive search and filter
+// stay exact against brute force over the live documents after every
+// publish, unpublish and republish — across fresh segments, merged bases
+// and pending tombstones.
+// ---------------------------------------------------------------------------
+
+std::string random_body(std::mt19937_64& rng) {
+  // Small vocabulary so documents share terms and removals leave some terms
+  // alive and kill others.
+  static const char* const kWords[] = {"gossip", "bloom",  "filter", "peer",   "index",
+                                       "query",  "rank",   "epoch",  "merge",  "planet",
+                                       "search", "rumor",  "digest", "lynx",   "ocelot",
+                                       "quokka", "walrus", "zebra",  "the",    "and"};
+  constexpr std::size_t kCount = sizeof(kWords) / sizeof(kWords[0]);
+  std::string body;
+  const std::size_t words = 1 + rng() % 8;
+  for (std::size_t w = 0; w < words; ++w) {
+    if (w != 0) body += ' ';
+    body += kWords[rng() % kCount];
+  }
+  return body;
 }
 
-TEST(DataStore, ParallelPublishMatchesSequential) {
-  // The tentpole determinism guarantee: sharding parse+analyze across a pool
-  // while committing in document order yields a store identical to the
-  // sequential path — including the dictionary's intern order, the posting
-  // slots and the filter version. Runs under TSan via scripts/check.sh.
-  const auto corpus = batch_corpus(64);
-  DataStore seq(4);
-  seq.publish_batch(corpus, nullptr);
+void expect_store_matches_brute_force(const DataStore& store,
+                                      const std::map<DocumentId, std::string>& live,
+                                      bloom::BloomParams params, std::mt19937_64& rng) {
+  std::vector<DocumentId> ids;
+  for (const auto& [id, body] : live) ids.push_back(id);
+  ASSERT_EQ(store.documents(), ids);
 
-  ThreadPool pool(4);
-  DataStore par(4);
-  const auto ids = par.publish_batch(corpus, &pool);
-  ASSERT_EQ(ids.size(), corpus.size());
-  expect_identical_stores(seq, par);
+  std::map<DocumentId, std::set<std::string>> doc_terms;
+  std::set<std::string> all_terms;
+  for (const auto& [id, body] : live) {
+    ASSERT_NE(store.document(id), nullptr);
+    for (std::string& t : store.analyzer().analyze(body)) {
+      all_terms.insert(t);
+      doc_terms[id].insert(std::move(t));
+    }
+  }
+  EXPECT_EQ(store.num_terms(), all_terms.size());
 
-  // A second batch through the same pool keeps extending both identically.
-  const auto more = batch_corpus(16);
-  seq.publish_batch(more, nullptr);
-  par.publish_batch(more, &pool);
-  expect_identical_stores(seq, par);
+  bloom::BloomFilter expected_filter(params);
+  for (const std::string& t : all_terms) expected_filter.insert(t);
+  EXPECT_EQ(store.bloom_filter(), expected_filter);
+
+  for (int q = 0; q < 4; ++q) {
+    const std::string query = random_body(rng);
+    const std::vector<std::string> qterms = store.analyzer().analyze(query);
+    std::vector<DocumentId> expected;
+    if (!qterms.empty()) {
+      for (const auto& [id, terms] : doc_terms) {
+        if (std::all_of(qterms.begin(), qterms.end(),
+                        [&terms](const std::string& t) { return terms.contains(t); })) {
+          expected.push_back(id);
+        }
+      }
+    }
+    EXPECT_EQ(store.search_all_terms(query), expected) << "query: " << query;
+  }
 }
 
-TEST(DataStore, ParallelPublishMalformedDocKeepsEarlierCommits) {
-  // A malformed document aborts the batch exactly where a sequential loop
-  // would: everything before it is committed, nothing after it is.
-  auto corpus = batch_corpus(10);
-  corpus[6] = "<broken";
-  ThreadPool pool(3);
-  DataStore store(4);
-  EXPECT_THROW(store.publish_batch(corpus, &pool), std::runtime_error);
-  EXPECT_EQ(store.num_documents(), 6u);
+TEST(DataStore, SeededOpStreamKeepsTermsSearchAndFilterExact) {
+  // Inline merges with tiny thresholds, so operations land on fresh
+  // segments, coalesced tiers, merged bases and pending tombstones.
+  EpochConfig cfg;
+  cfg.background_merge = false;
+  cfg.coalesce_fanin = 3;
+  cfg.merge_min_docs = 8;
+  cfg.merge_base_fraction = 0.5;
+  cfg.merge_tombstone_threshold = 4;
+  const bloom::BloomParams params{8192, 2};
+  DataStore store(5, params, {}, cfg);
 
-  DataStore sequential(4);
-  EXPECT_THROW(sequential.publish_batch(corpus, nullptr), std::runtime_error);
-  expect_identical_stores(sequential, store);
-}
+  std::mt19937_64 rng(0xDA7A5707EULL);
+  std::map<DocumentId, std::string> live;
+  std::size_t saw_base = 0, saw_segments = 0, saw_tombstones = 0;
+  for (int step = 0; step < 300; ++step) {
+    const std::uint64_t op = rng() % 10;
+    if (op < 5 || live.empty()) {
+      const std::string body = random_body(rng);
+      live[store.publish_text("d", body)] = body;
+    } else {
+      auto it = live.begin();
+      std::advance(it, static_cast<std::ptrdiff_t>(rng() % live.size()));
+      if (op < 8) {
+        ASSERT_TRUE(store.unpublish(it->first));
+        live.erase(it);
+      } else {
+        const std::string body = random_body(rng);
+        ASSERT_TRUE(store.republish(it->first, wrap_text_as_xml("r", body)));
+        it->second = body;
+      }
+    }
+    expect_store_matches_brute_force(store, live, params, rng);
 
-TEST(DataStore, ParallelPublishEmptyAndTinyBatches) {
-  ThreadPool pool(2);
-  DataStore store(4);
-  EXPECT_TRUE(store.publish_batch({}, &pool).empty());
-  const auto one = store.publish_batch({wrap_text_as_xml("solo", "lone wolverine")}, &pool);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(store.num_documents(), 1u);
-  EXPECT_TRUE(store.index().contains_term("wolverin"));
+    const auto snap = store.snapshot();
+    if (snap->base() != nullptr) ++saw_base;
+    if (snap->segment_count() > 0) ++saw_segments;
+    if (snap->tombstone_count() > 0) ++saw_tombstones;
+  }
+  EXPECT_GT(saw_base, 0u);
+  EXPECT_GT(saw_segments, 0u);
+  EXPECT_GT(saw_tombstones, 0u);
+  const EpochStats stats = store.epochs().stats();
+  EXPECT_GT(stats.coalesces, 0u);
+  EXPECT_GT(stats.merges_completed, 0u);
+  EXPECT_GT(stats.tombstones_merged, 0u);
 }
 
 }  // namespace

@@ -54,11 +54,18 @@ void expect_identical_ranking(const std::vector<ScoredDoc>& snapshot_ranked,
   }
 }
 
-/// The sequential single-threaded oracle: a fresh store holding exactly the
-/// live documents, published one by one. The headline contract says every
-/// published epoch must rank byte-identically to this.
-DataStore make_oracle(const std::unordered_map<std::uint32_t, std::string>& live_docs) {
-  DataStore oracle(kPeer);
+/// Index one document into the oracle exactly as its text analyzes.
+void add_to_oracle(InvertedIndex& oracle, const DataStore& store, DocumentId id,
+                   const std::string& xml) {
+  oracle.add_document(id, store.analyzer().term_frequencies(make_document(id, xml).text));
+}
+
+/// The sequential single-threaded oracle: an InvertedIndex holding exactly
+/// the live documents, analyzed with the store's analyzer. The headline
+/// contract says every published epoch must rank byte-identically to it.
+InvertedIndex make_oracle(const DataStore& store,
+                          const std::unordered_map<std::uint32_t, std::string>& live_docs) {
+  InvertedIndex oracle;
   // Ascending local id: any order gives identical scores (per-document sums
   // accumulate in lexicographic term order on every path), but a fixed one
   // keeps the oracle itself deterministic.
@@ -66,7 +73,9 @@ DataStore make_oracle(const std::unordered_map<std::uint32_t, std::string>& live
   ids.reserve(live_docs.size());
   for (const auto& [local, xml] : live_docs) ids.push_back(local);
   std::sort(ids.begin(), ids.end());
-  for (const std::uint32_t local : ids) oracle.publish_as(local, live_docs.at(local));
+  for (const std::uint32_t local : ids) {
+    add_to_oracle(oracle, store, DocumentId{kPeer, local}, live_docs.at(local));
+  }
   return oracle;
 }
 
@@ -74,7 +83,7 @@ void verify_epoch_against_oracle(const DataStore& store,
                                  const std::unordered_map<std::uint32_t, std::string>& live_docs,
                                  std::mt19937_64& rng) {
   const auto snap = store.snapshot();
-  const DataStore oracle = make_oracle(live_docs);
+  const InvertedIndex oracle = make_oracle(store, live_docs);
   ASSERT_EQ(snap->num_documents(), oracle.num_documents());
 
   // A handful of random queries per verification, mixing 1-3 vocabulary
@@ -87,7 +96,7 @@ void verify_epoch_against_oracle(const DataStore& store,
     const std::size_t k = 1 + rng() % 8;
 
     const SnapshotRanker snap_ranker(*snap);
-    const TfIdfRanker oracle_ranker(oracle.index());
+    const TfIdfRanker oracle_ranker(oracle);
     expect_identical_ranking(snap_ranker.top_k(terms, k), oracle_ranker.top_k(terms, k));
 
     // Full scoring with the oracle's own IDF weights must agree bitwise too
@@ -102,7 +111,7 @@ void verify_epoch_against_oracle(const DataStore& store,
           << term;
     }
     expect_identical_ranking(score_snapshot(*snap, weights),
-                             score_documents(oracle.index(), weights));
+                             score_documents(oracle, weights));
   }
 }
 
@@ -136,17 +145,14 @@ TEST(EpochSnapshot, RandomizedOpsMatchSequentialOracle) {
       const DocumentId id = store.publish(std::string(xml));
       live_docs[id.local] = xml;
     } else if (op < 7) {
-      // publish a small batch (sequential fallback path)
-      std::vector<std::string> batch;
+      // publish a small run of documents back to back
       const std::size_t n = 2 + rng() % 3;
       for (std::size_t i = 0; i < n; ++i) {
-        batch.push_back(wrap_text_as_xml("batch" + std::to_string(step) + "_" + std::to_string(i),
-                                         make_body(rng, 4 + rng() % 12)));
+        const std::string xml =
+            wrap_text_as_xml("batch" + std::to_string(step) + "_" + std::to_string(i),
+                             make_body(rng, 4 + rng() % 12));
+        live_docs[store.publish(std::string(xml)).local] = xml;
       }
-      std::vector<std::string> copies = batch;
-      const std::vector<DocumentId> ids = store.publish_batch(std::move(copies));
-      ASSERT_EQ(ids.size(), batch.size());
-      for (std::size_t i = 0; i < ids.size(); ++i) live_docs[ids[i].local] = batch[i];
     } else {
       // remove a random live document
       std::vector<std::uint32_t> ids;
@@ -261,9 +267,9 @@ TEST(EpochSnapshot, ReaderHoldingOldSnapshotStillScoresRemovedDocument) {
   ASSERT_EQ(ranked_new.size(), 1u);
   EXPECT_EQ(ranked_new[0].doc, kept);
 
-  DataStore oracle(kPeer);
-  oracle.publish_as(kept.local, wrap_text_as_xml("kept", "alpha beta alpha"));
-  expect_identical_ranking(ranked_new, TfIdfRanker(oracle.index()).top_k(terms, 10));
+  InvertedIndex oracle;
+  add_to_oracle(oracle, store, kept, wrap_text_as_xml("kept", "alpha beta alpha"));
+  expect_identical_ranking(ranked_new, TfIdfRanker(oracle).top_k(terms, 10));
 }
 
 // ---------------------------------------------------------------------------
@@ -380,10 +386,10 @@ TEST(MixedWorkloadStress, ConcurrentReadersSeeConsistentEpochs) {
   EXPECT_EQ(final_snap->num_documents(), live_docs.size());
   EXPECT_GT(store.epochs().stats().merges_completed, 0u);
 
-  const DataStore oracle = make_oracle(live_docs);
+  const InvertedIndex oracle = make_oracle(store, live_docs);
   for (const char* word : kVocab) {
     const std::vector<std::string> terms = analyzed(store, std::string(word) + " zmarkerz");
     expect_identical_ranking(SnapshotRanker(*final_snap).top_k(terms, 20),
-                             TfIdfRanker(oracle.index()).top_k(terms, 20));
+                             TfIdfRanker(oracle).top_k(terms, 20));
   }
 }

@@ -218,7 +218,7 @@ TEST(FaultInjector, DifferentSeedsDiverge) {
 }
 
 // ---------------------------------------------------------------------------
-// message_drop_prob compatibility shim
+// Uniform message loss
 // ---------------------------------------------------------------------------
 
 TEST(FaultPlan, UniformDropIsASingleSilentAnyRule) {
@@ -245,23 +245,12 @@ TEST(FaultInjector, UniformDropRateMatchesProbability) {
   EXPECT_NEAR(static_cast<double>(dropped) / n, 0.2, 0.01);
 }
 
-TEST(SimCommunity, MessageDropProbShimMapsOntoUniformDropPlan) {
-  SimConfig cfg;
-  cfg.seed = 11;
-  cfg.message_drop_prob = 0.15;
-  SimCommunity community(cfg);
-  const auto& rules = community.faults().plan().rules();
-  ASSERT_EQ(rules.size(), 1u);
-  EXPECT_EQ(rules[0].action, FaultAction::kDrop);
-  EXPECT_DOUBLE_EQ(rules[0].probability, 0.15);
-}
-
 TEST(SimCommunity, ShimDropsAreCountedInNetworkStats) {
-  // The old rng-inline drop path never told NetworkStats; the shim routes
-  // through the injector, so loss experiments now account every drop.
+  // Uniform loss routes through the injector like every other rule, so
+  // loss experiments account every drop in NetworkStats.
   SimConfig cfg;
   cfg.seed = 12;
-  cfg.message_drop_prob = 0.20;
+  cfg.faults = FaultPlan::uniform_drop(0.20);
   SimCommunity community(cfg);
   for (int i = 0; i < 10; ++i) community.add_peer({link_speed::kLan45M, 1000});
   community.start_converged();

@@ -18,11 +18,12 @@
 #include "util/rng.hpp"
 
 /// Rank-safety property tests for the block-max pruned top-k driver
-/// (docs/INDEX.md "Block-max pruning"). The contract under test: for every k,
-/// the pruned result is byte-identical — same documents, same score BITS,
-/// same tie-breaks — to exhaustive scoring, across all three entry points
-/// (compressed_top_k, TfIdfRanker with an accelerator, SnapshotRanker over
-/// live epochs with tombstones and unmerged segments). The large cases also
+/// (docs/INDEX.md "Block-max pruning"), reached through SnapshotRanker. The
+/// contract under test: for every k, the pruned result is byte-identical —
+/// same documents, same score BITS, same tie-breaks — to exhaustive scoring,
+/// both over a fully compacted base (against CompressedIndex::score and
+/// against TfIdfRanker over an InvertedIndex of the same documents) and over
+/// live epochs with tombstones and unmerged segments. The large cases also
 /// pin blocks_skipped > 0 so the pruning provably fired.
 
 using namespace planetp;
@@ -46,20 +47,40 @@ void expect_bit_identical(const std::vector<ScoredDoc>& got,
   }
 }
 
+/// Inline merges that never trigger on their own: the one fold is compact().
+EpochConfig compact_only() {
+  EpochConfig cfg;
+  cfg.background_merge = false;
+  cfg.merge_min_docs = std::numeric_limits<std::size_t>::max();
+  return cfg;
+}
+
 /// Zipf-distributed corpus over vocabulary "w1".."w<vocab>": realistic
 /// skew — a few very long posting lists (many blocks) and a long tail.
-InvertedIndex zipf_index(Rng& rng, std::uint32_t ndocs, std::size_t vocab,
-                         std::size_t words_per_doc) {
-  const ZipfSampler zipf(vocab, 1.1);
+/// The same documents land in an InvertedIndex (the exhaustive reference)
+/// and in an EpochIndex compacted into one block-structured base.
+struct ZipfCorpus {
   InvertedIndex idx;
+  EpochIndex epochs{compact_only()};
+};
+
+void fill_zipf(ZipfCorpus& c, Rng& rng, std::uint32_t ndocs, std::size_t vocab,
+               std::size_t words_per_doc) {
+  const ZipfSampler zipf(vocab, 1.1);
+  TermDictionary dict;
+  TermCounts counts;
   for (std::uint32_t d = 0; d < ndocs; ++d) {
     Freqs freqs;
     for (std::size_t w = 0; w < words_per_doc; ++w) {
       ++freqs["w" + std::to_string(zipf.sample(rng))];
     }
-    idx.add_document({d % 5, d}, freqs);
+    const DocumentId id{d % 5, d};
+    c.idx.add_document(id, freqs);
+    counts.clear();
+    for (const auto& [term, freq] : freqs) counts.add(dict.intern(term), freq);
+    c.epochs.commit_publish(id, dict, counts);
   }
-  return idx;
+  c.epochs.compact();
 }
 
 /// A query of \p nterms Zipf-drawn terms (duplicates collapse, so short
@@ -74,17 +95,8 @@ std::vector<std::string> zipf_query(Rng& rng, const ZipfSampler& zipf, std::size
   return terms;
 }
 
-std::unordered_map<std::string, double> idf_weights_for(const CompressedIndex& ci,
-                                                        const std::vector<std::string>& terms) {
-  std::unordered_map<std::string, double> weights;
-  for (const std::string& t : terms) {
-    weights[t] = idf(ci.num_documents(), ci.collection_frequency(t));
-  }
-  return weights;
-}
-
-/// The exhaustive reference: full scoring + truncate. compressed_top_k is
-/// pinned byte-identical to this for every k.
+/// The exhaustive reference: full scoring of a compacted base + truncate.
+/// SnapshotRanker is pinned byte-identical to this for every k.
 std::vector<ScoredDoc> exhaustive_ref(const CompressedIndex& ci,
                                       const std::unordered_map<std::string, double>& weights,
                                       std::size_t k) {
@@ -97,13 +109,18 @@ std::vector<ScoredDoc> exhaustive_ref(const CompressedIndex& ci,
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// Entry point 1: compressed_top_k vs CompressedIndex::score
+// Compacted base: SnapshotRanker vs CompressedIndex::score and TfIdfRanker
 // ---------------------------------------------------------------------------
 
 TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
   Rng rng(0xB10C);
-  const InvertedIndex src = zipf_index(rng, 6000, 800, 25);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  ZipfCorpus c;
+  fill_zipf(c, rng, 6000, 800, 25);
+  const auto snap = c.epochs.snapshot();
+  ASSERT_NE(snap->base(), nullptr);
+  const CompressedIndex& base = *snap->base();
+  const SnapshotRanker ranker(*snap);
+  const TfIdfRanker plain(c.idx);
   const ZipfSampler zipf(800, 1.1);
 
   PruneStats stats;
@@ -111,10 +128,12 @@ TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
     // Mix short head-heavy queries (2-4 terms) and long ones (6-10 terms).
     const std::size_t nterms = q % 2 == 0 ? 2 + rng.below(3) : 6 + rng.below(5);
     const auto terms = zipf_query(rng, zipf, nterms);
-    const auto weights = idf_weights_for(ci, terms);
+    const auto weights = ranker.idf_weights(terms);
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{100}, kInf}) {
-      expect_bit_identical(compressed_top_k(ci, weights, k, &stats),
-                           exhaustive_ref(ci, weights, k), "compressed_top_k");
+      const auto got = ranker.top_k(terms, k, &stats);
+      expect_bit_identical(got, exhaustive_ref(base, weights, k),
+                           "SnapshotRanker vs CompressedIndex::score");
+      expect_bit_identical(got, plain.top_k(terms, k), "SnapshotRanker vs TfIdfRanker");
     }
   }
   // The large corpus + small k cases must actually skip blocks; k = inf must
@@ -127,52 +146,57 @@ TEST(PrunedTopK, CompressedTopKBitIdenticalToExhaustive) {
 
 TEST(PrunedTopK, CompressedTopKEdgeCases) {
   Rng rng(0xED6E);
-  const InvertedIndex src = zipf_index(rng, 300, 50, 8);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  ZipfCorpus c;
+  fill_zipf(c, rng, 300, 50, 8);
+  const auto snap = c.epochs.snapshot();
+  const SnapshotRanker ranker(*snap);
 
-  // k = 0 returns nothing; absent terms and zero weights are ignored.
-  std::unordered_map<std::string, double> weights{{"w1", 1.0}, {"absent", 1.0}, {"w2", 0.0}};
-  EXPECT_TRUE(compressed_top_k(ci, weights, 0).empty());
-  expect_bit_identical(compressed_top_k(ci, weights, 5), exhaustive_ref(ci, weights, 5),
-                       "absent+zero-weight terms");
+  // k = 0 returns nothing; absent and repeated terms are ignored.
+  const std::vector<std::string> terms{"w1", "absent", "w2", "w1"};
+  EXPECT_TRUE(ranker.top_k(terms, 0).empty());
+  expect_bit_identical(ranker.top_k(terms, 5),
+                       exhaustive_ref(*snap->base(), ranker.idf_weights(terms), 5),
+                       "absent+repeated terms");
+  expect_bit_identical(ranker.top_k(terms, 5), TfIdfRanker(c.idx).top_k(terms, 5),
+                       "absent+repeated terms vs TfIdfRanker");
 
   // Query matching nothing at all.
-  std::unordered_map<std::string, double> nohit{{"nope", 2.0}};
-  EXPECT_TRUE(compressed_top_k(ci, nohit, 10).empty());
+  EXPECT_TRUE(ranker.top_k({"nope"}, 10).empty());
 
-  // Empty index.
-  const CompressedIndex empty = CompressedIndex::build(InvertedIndex{});
-  EXPECT_TRUE(compressed_top_k(empty, weights, 10).empty());
+  // Empty store, before and after compaction.
+  EpochIndex empty;
+  EXPECT_TRUE(SnapshotRanker(*empty.snapshot()).top_k(terms, 10).empty());
+  empty.compact();
+  EXPECT_TRUE(SnapshotRanker(*empty.snapshot()).top_k(terms, 10).empty());
 }
 
-// ---------------------------------------------------------------------------
-// Entry point 2: TfIdfRanker with accelerator vs plain TfIdfRanker
-// ---------------------------------------------------------------------------
-
-TEST(PrunedTopK, TfIdfRankerAccelBitIdenticalToPlain) {
+TEST(PrunedTopK, SnapshotRankerBitIdenticalToTfIdfRanker) {
   Rng rng(0xACCE1);
-  const InvertedIndex src = zipf_index(rng, 5000, 600, 20);
-  const CompressedIndex ci = CompressedIndex::build(src);
+  ZipfCorpus c;
+  fill_zipf(c, rng, 5000, 600, 20);
+  const auto snap = c.epochs.snapshot();
   const ZipfSampler zipf(600, 1.1);
 
-  const TfIdfRanker plain(src);
-  const TfIdfRanker accel(src, &ci);
+  const TfIdfRanker plain(c.idx);
+  const SnapshotRanker pruned(*snap);
 
   PruneStats stats;
   for (int q = 0; q < 25; ++q) {
     auto terms = zipf_query(rng, zipf, 2 + rng.below(8));
     if (q % 5 == 0) terms.push_back("not-in-corpus");  // absent terms mid-query
     for (const std::size_t k : {std::size_t{1}, std::size_t{10}, std::size_t{100}, kInf}) {
-      expect_bit_identical(accel.top_k(terms, k, &stats), plain.top_k(terms, k),
-                           "TfIdfRanker accel");
+      expect_bit_identical(pruned.top_k(terms, k, &stats), plain.top_k(terms, k),
+                           "SnapshotRanker vs TfIdfRanker");
     }
+    expect_bit_identical(score_snapshot(*snap, pruned.idf_weights(terms)),
+                         score_documents(c.idx, plain.idf_weights(terms)), "score_snapshot");
   }
   EXPECT_GT(stats.pruned_queries, 0u);
   EXPECT_GT(stats.blocks_skipped, 0u);
 }
 
 // ---------------------------------------------------------------------------
-// Entry point 3: SnapshotRanker over live epochs
+// Live epochs: pending segments and tombstones over a pruned base
 // ---------------------------------------------------------------------------
 
 namespace {

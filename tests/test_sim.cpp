@@ -269,7 +269,7 @@ TEST(SimCommunity, OfflinePeerMissesRumorsUntilRejoin) {
 TEST(SimCommunity, MessageLossStillConverges) {
   SimConfig cfg;
   cfg.seed = 8;
-  cfg.message_drop_prob = 0.10;  // failure injection
+  cfg.faults = FaultPlan::uniform_drop(0.10);  // failure injection
   SimCommunity community(cfg);
   for (int i = 0; i < 20; ++i) community.add_peer({link_speed::kLan45M, 1000});
   const auto t = community.add_tracker("all", [](gossip::PeerId) { return true; });
