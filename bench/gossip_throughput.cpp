@@ -1,41 +1,42 @@
 /// \file gossip_throughput.cpp
 /// Gossip-plane throughput (docs/PROTOCOL.md "The gossip hot path"): a
 /// converged community absorbing a stream of filter-change events at 1000 and
-/// 5000 peers, comparing
-///   uncached — the pre-cache cost model: every summary() call rebuilds the
-///              sorted snapshot and newer_in/same_as probe the directory
-///              hash map per entry (Directory::set_summary_caching(false)),
+/// 5000 peers, in these rows:
 ///   cached   — the epoch-cached snapshot plus merge-scan comparisons (the
-///              shipping configuration),
+///              shipping configuration, eager dissemination),
 ///   parallel — cached, plus deterministic parallel round stepping
 ///              (SimConfig::parallel_round_tick; same-tick rounds step on a
 ///              thread pool and commit in node-id order),
 /// and, on the dissemination axis (docs/PROTOCOL.md "Lazy dissemination"),
 ///   eager    — the cached run, read on this axis as the blind-push baseline,
-///   lazy     — digests only (RumorMode::kLazy) + delta anti-entropy replies,
-///   hybrid   — Plumtree-style eager-first-hops (RumorMode::kHybrid) + delta
-///              anti-entropy replies.
+///   lazy     — GossipConfig::eager_fanout = 0: digests only, plus delta
+///              anti-entropy replies,
+///   hybrid   — eager_fanout = 2: Plumtree-style eager first hops, plus
+///              delta anti-entropy replies.
 ///
 /// Reports wall-clock gossip rounds/sec (numerator: SimCommunity::
 /// rounds_executed), simulated bytes per round — split per message type —
 /// heap allocations per round (counted by this TU's operator new), and the
 /// protocol's dissemination counters. Emits BENCH_gossip_throughput.json.
+/// The pre-cache cost model (every summary() rebuilt the sorted snapshot and
+/// newer_in/same_as probed the hash map per entry) no longer exists; its
+/// rounds/sec survive as the historical figures below. That the caches are
+/// behaviourally invisible is pinned by the randomized property tests in
+/// tests/test_gossip_directory.cpp.
 /// Built-in gates:
-///   1. cached and uncached runs must be behaviourally identical — same
-///      bytes, messages, rounds, and convergence samples for the same seed
-///      (the cache must be invisible);
-///   2. cached must be >= 3x uncached rounds/sec at 5000 peers;
-///   3. hybrid must move < 1/2 the bytes/round of eager at 5000 peers with
+///   1. cached must be >= 3x the historical uncached rounds/sec at 5000
+///      peers;
+///   2. hybrid must move < 1/2 the bytes/round of eager at 5000 peers with
 ///      every event still converging and mean convergence time within 1.5x
-///      of eager (the lazy tentpole's in-run acceptance gate);
-///   4. lazy mode must push zero blind payloads and see (near-)zero
+///      of eager;
+///   3. lazy mode must push zero blind payloads and see (near-)zero
 ///      duplicate payload deliveries once converged;
-///   5. with --baseline <json>, cached rounds/sec must stay above half the
+///   4. with --baseline <json>, cached rounds/sec must stay above half the
 ///      recorded baseline and hybrid bytes/round must stay below twice the
 ///      recorded hybrid_bytes_per_round figure (scripts/check.sh runs this
 ///      against bench/baselines/).
 /// Usage: gossip_throughput [--quick] [--lazy-smoke] [--baseline <file>]
-/// --lazy-smoke runs a small lazy/hybrid-only community and checks gate 4
+/// --lazy-smoke runs a small lazy/hybrid-only community and checks gate 3
 /// plus convergence — cheap enough for the ASan leg of scripts/check.sh.
 
 #include <array>
@@ -82,17 +83,23 @@ using namespace planetp::sim;
 
 namespace {
 
-enum class Mode { kUncached, kCached, kParallel, kLazy, kHybrid };
+enum class Mode { kCached, kParallel, kLazy, kHybrid };
 
 const char* mode_name(Mode m) {
   switch (m) {
-    case Mode::kUncached: return "uncached";
     case Mode::kCached: return "cached";
     case Mode::kParallel: return "parallel";
     case Mode::kLazy: return "lazy";
     case Mode::kHybrid: return "hybrid";
   }
   return "?";
+}
+
+/// Rounds/sec of the pre-cache cost model at 1000 and 5000 peers, measured
+/// when the epoch cache replaced it: the "uncached" rows of
+/// bench/baselines/gossip_throughput.json. Gate 1 compares against them.
+double historical_uncached_rps(std::size_t peers) {
+  return peers == 1000 ? 10094.2 : peers == 5000 ? 1985.68 : 0.0;
 }
 
 /// Message-type names by gossip::Message variant index (the key of
@@ -140,27 +147,19 @@ double wall_now_s() {
 /// are setup, not gossip.
 RunResult run_mode(Mode mode, std::size_t peers, std::size_t events) {
   SimConfig cfg;
-  cfg.seed = 4242;  // identical for every mode: the equivalence gate needs it
+  cfg.seed = 4242;  // identical for every mode, so the rows compare like for like
   if (mode == Mode::kParallel) {
     cfg.parallel_round_tick = kSecond;
     cfg.parallel_threads = 0;  // hardware concurrency
   }
-  if (mode == Mode::kLazy || mode == Mode::kHybrid) {
-    cfg.gossip.rumor_mode =
-        mode == Mode::kLazy ? gossip::RumorMode::kLazy : gossip::RumorMode::kHybrid;
-    cfg.gossip.delta_summaries = true;
-  }
+  if (mode == Mode::kLazy) cfg.gossip.eager_fanout = 0;
+  if (mode == Mode::kHybrid) cfg.gossip.eager_fanout = 2;
   SimCommunity community(cfg);
   for (std::size_t i = 0; i < peers; ++i) {
     community.add_peer({link_speed::kLan45M, 1000});
   }
   const auto t = community.add_tracker("all", [](gossip::PeerId) { return true; });
   community.start_converged();
-  if (mode == Mode::kUncached) {
-    for (std::size_t id = 0; id < peers; ++id) {
-      community.protocol(static_cast<gossip::PeerId>(id)).directory().set_summary_caching(false);
-    }
-  }
 
   const std::uint64_t rounds0 = community.rounds_executed();
   const std::uint64_t bytes0 = community.stats().total_bytes();
@@ -236,16 +235,10 @@ void print_dissemination(Mode m, const RunResult& r) {
   std::printf("\n");
 }
 
-/// The cache must be invisible: same seed, same trace.
-bool equivalent(const RunResult& a, const RunResult& b) {
-  return a.bytes == b.bytes && a.messages == b.messages && a.rounds == b.rounds &&
-         a.durations == b.durations && a.consistent && b.consistent;
-}
-
 struct SizeResult {
   std::size_t peers = 0;
-  RunResult uncached, cached, parallel, lazy, hybrid;
-  double speedup = 0.0;
+  RunResult cached, parallel, lazy, hybrid;
+  double speedup = 0.0;  ///< cached rounds/s ÷ historical uncached rounds/s
   double hybrid_byte_reduction = 0.0;  ///< eager bytes/round ÷ hybrid bytes/round
 };
 
@@ -253,8 +246,6 @@ SizeResult run_size(std::size_t peers, std::size_t events) {
   SizeResult out;
   out.peers = peers;
   std::printf("%5zu peers, %zu filter-change events:\n", peers, events);
-  out.uncached = run_mode(Mode::kUncached, peers, events);
-  print_mode(Mode::kUncached, out.uncached);
   out.cached = run_mode(Mode::kCached, peers, events);
   print_mode(Mode::kCached, out.cached);
   out.parallel = run_mode(Mode::kParallel, peers, events);
@@ -263,10 +254,10 @@ SizeResult run_size(std::size_t peers, std::size_t events) {
   print_mode(Mode::kLazy, out.lazy);
   out.hybrid = run_mode(Mode::kHybrid, peers, events);
   print_mode(Mode::kHybrid, out.hybrid);
-  out.speedup =
-      out.uncached.rounds_per_sec > 0.0 ? out.cached.rounds_per_sec / out.uncached.rounds_per_sec
-                                        : 0.0;
-  std::printf("  cached speedup vs uncached: %.1fx\n", out.speedup);
+  const double uncached_rps = historical_uncached_rps(peers);
+  out.speedup = uncached_rps > 0.0 ? out.cached.rounds_per_sec / uncached_rps : 0.0;
+  std::printf("  cached speedup vs uncached (historical %.0f rounds/s): %.1fx\n",
+              uncached_rps, out.speedup);
   print_dissemination(Mode::kCached, out.cached);
   print_dissemination(Mode::kLazy, out.lazy);
   print_dissemination(Mode::kHybrid, out.hybrid);
@@ -308,7 +299,7 @@ double parse_key(const std::string& json, const std::string& key) {
   return std::strtod(json.c_str() + colon + 1, nullptr);
 }
 
-/// Gate 4: lazy pushes nothing blind and a converged community re-delivers
+/// Gate 3: lazy pushes nothing blind and a converged community re-delivers
 /// (nearly) nothing. The handful of tolerated duplicates are want/pull races
 /// — two peers serving the same id before either delivery lands.
 int check_lazy_counters(std::size_t peers, const RunResult& lazy) {
@@ -380,8 +371,6 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < results.size(); ++i) {
     const SizeResult& r = results[i];
     os << "    {\"peers\": " << r.peers << ", \"events\": " << r.cached.events << ", ";
-    append_mode(os, "uncached", r.uncached);
-    os << ", ";
     append_mode(os, "cached", r.cached);
     os << ", ";
     append_mode(os, "parallel", r.parallel);
@@ -408,20 +397,6 @@ int main(int argc, char** argv) {
 
   int rc = 0;
   for (const SizeResult& r : results) {
-    if (!equivalent(r.uncached, r.cached)) {
-      std::fprintf(stderr,
-                   "FAIL: cached run diverges from uncached at %zu peers "
-                   "(bytes %llu vs %llu, msgs %llu vs %llu, rounds %llu vs %llu, "
-                   "converged %zu vs %zu)\n",
-                   r.peers, static_cast<unsigned long long>(r.uncached.bytes),
-                   static_cast<unsigned long long>(r.cached.bytes),
-                   static_cast<unsigned long long>(r.uncached.messages),
-                   static_cast<unsigned long long>(r.cached.messages),
-                   static_cast<unsigned long long>(r.uncached.rounds),
-                   static_cast<unsigned long long>(r.cached.rounds),
-                   r.uncached.durations.size(), r.cached.durations.size());
-      rc = 1;
-    }
     if (r.cached.durations.size() != r.cached.events || !r.cached.consistent) {
       std::fprintf(stderr, "FAIL: cached run at %zu peers did not converge (%zu/%zu events)\n",
                    r.peers, r.cached.durations.size(), r.cached.events);
@@ -432,8 +407,8 @@ int main(int argc, char** argv) {
                    r.peers, r.parallel.durations.size(), r.parallel.events);
       rc = 1;
     }
-    // The lazy tentpole's convergence gates: every event still converges in
-    // both new modes, and every directory ends consistent.
+    // Every event still converges with lazy dissemination, and every
+    // directory ends consistent.
     for (const RunResult* m : {&r.lazy, &r.hybrid}) {
       const char* name = m == &r.lazy ? "lazy" : "hybrid";
       if (!m->consistent || m->durations.size() != m->events) {
@@ -444,7 +419,7 @@ int main(int argc, char** argv) {
     }
     rc |= check_lazy_counters(r.peers, r.lazy);
     // Convergence time must stay in eager's ballpark — the byte savings may
-    // not come from propagating slower (gate 3's second half).
+    // not come from propagating slower (gate 2's second half).
     if (r.hybrid.mean_convergence_s() > r.cached.mean_convergence_s() * 1.5) {
       std::fprintf(stderr,
                    "FAIL: hybrid mean convergence %.1f s vs eager %.1f s at %zu peers "
@@ -454,7 +429,9 @@ int main(int argc, char** argv) {
     }
   }
   if (results.back().speedup < 3.0) {
-    std::fprintf(stderr, "FAIL: cached only %.1fx vs uncached at 5000 peers (need >= 3x)\n",
+    std::fprintf(stderr,
+                 "FAIL: cached only %.1fx vs historical uncached at 5000 peers "
+                 "(need >= 3x)\n",
                  results.back().speedup);
     rc = 1;
   }

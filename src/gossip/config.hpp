@@ -12,17 +12,6 @@
 
 namespace planetp::gossip {
 
-/// How hot rumors travel (docs/PROTOCOL.md "Lazy dissemination").
-///  - kEager: push full payloads to every fanout target (the paper's §3
-///    rumor mongering, and the historical behavior — byte-identical traces).
-///  - kLazy: push only (id, version) digests; targets reply with the ids
-///    whose bodies they lack and the bodies are served from the interned
-///    SharedRumor store. No payload is ever sent blind.
-///  - kHybrid: Plumtree-style split — a rumor is pushed eagerly for its
-///    first `eager_fanout` transmissions at each node, lazily thereafter.
-///    With bandwidth_aware, slow-link targets always get digests.
-enum class RumorMode : std::uint8_t { kEager = 0, kLazy = 1, kHybrid = 2 };
-
 struct GossipConfig {
   /// Base gossiping interval T_g (30 s in §3; Table 2 simulates 30 s).
   Duration base_interval = 30 * kSecond;
@@ -73,29 +62,11 @@ struct GossipConfig {
   /// LAN-NPA ablation in Fig 4a).
   bool enable_partial_ae = true;
 
-  /// false disables the adaptive interval (fixed T_g), used when sweeping
-  /// fixed gossip intervals as in Fig 2's DSL-10/30/60 curves.
-  bool adaptive_interval = true;
-
   /// Bandwidth-aware two-class target selection (§7.2, Fig 5).
   bool bandwidth_aware = false;
 
   /// Probability that a fast peer rumors to a slow peer when bandwidth_aware.
   double fast_to_slow_prob = 0.01;
-
-  /// An anti-entropy pull (summary request) still unanswered after this many
-  /// gossip rounds is retried against a fresh target, doubling the wait each
-  /// attempt. Lossy links and partitions otherwise leave a catching-up peer
-  /// waiting on a reply that will never come. Measured in rounds so the
-  /// retry cadence scales with the gossip interval (live tests run 100 ms
-  /// rounds; the paper's communities run 30 s ones).
-  int ae_retry_rounds = 2;
-
-  /// Bound on consecutive unanswered anti-entropy attempts while catching up
-  /// after a rejoin. Once exhausted the peer abandons the catch-up priority
-  /// and falls back to the normal round cadence (whose idle-round
-  /// anti-entropy still converges it eventually).
-  int max_ae_retries = 4;
 
   /// Probability that an anti-entropy round probes a peer currently believed
   /// offline instead of an online one. Offline beliefs are local and never
@@ -104,22 +75,20 @@ struct GossipConfig {
   /// occasional probe rediscovers reachable peers and re-merges the halves.
   double offline_probe_prob = 0.1;
 
-  /// Dissemination mode for hot rumors. Defaults to kEager so existing
-  /// configurations trace byte-identically to prior releases.
-  RumorMode rumor_mode = RumorMode::kEager;
+  /// The eager_fanout default, the paper's §3 push: every hot rumor carries
+  /// its body to every target. Any negative value means the same.
+  static constexpr int kEagerAlways = -1;
 
-  /// kHybrid only: blind payload pushes a rumor gets at this node before it
-  /// switches to digests. The first hops seed the body into the community
-  /// fast; after that most targets already hold it and ids suffice.
-  int eager_fanout = 2;
-
-  /// Delta-compressed anti-entropy replies: a SummaryRequest advertises the
-  /// sender's DirectoryBase token, and a replier sharing that base answers
-  /// with only its changed-set (O(changed) entries) instead of the full
-  /// O(peers) summary. Convergence is unchanged — the omitted entries carry
-  /// base versions both sides already hold. Off by default (byte-identical
-  /// traces); the lazy/hybrid bench rows enable it.
-  bool delta_summaries = false;
+  /// How hot rumors travel (docs/PROTOCOL.md "Lazy dissemination"). Any
+  /// k >= 0 selects lazy dissemination: a filter change carries its body for
+  /// its first k transmissions at this node (never to a slow-link target
+  /// under bandwidth_aware), a join or rejoin for its first
+  /// max(k, Protocol::kIntroductionPushes) on every link, and everything else
+  /// travels as (id, version) digests answered by wants. k = 0 never pushes a
+  /// filter body blind; k = 2 is a Plumtree-style eager-first-hops split. A
+  /// lazy peer also advertises its DirectoryBase token in summary requests,
+  /// so a replier sharing that base answers with its changed-set only.
+  int eager_fanout = kEagerAlways;
 
   /// Cap on record ids pulled per anti-entropy exchange; 0 = unlimited.
   /// §7.2's future-work item for modem peers: "allow a new modem-connected

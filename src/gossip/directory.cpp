@@ -244,7 +244,7 @@ PeerId Directory::random_offline(Rng& rng) const {
 }
 
 SummarySnapshot Directory::summary() const {
-  if (summary_caching_ && cached_summary_ != nullptr && cached_epoch_ == epoch_) {
+  if (cached_summary_ != nullptr && cached_epoch_ == epoch_) {
     return cached_summary_;
   }
   auto out = std::make_shared<std::vector<PeerSummary>>();
@@ -266,7 +266,7 @@ SummarySnapshot Directory::summary() const {
 }
 
 std::shared_ptr<const SummaryDelta> Directory::delta() const {
-  if (summary_caching_ && cached_delta_ != nullptr && cached_delta_epoch_ == epoch_) {
+  if (cached_delta_ != nullptr && cached_delta_epoch_ == epoch_) {
     return cached_delta_;
   }
   auto d = std::make_shared<SummaryDelta>();
@@ -292,17 +292,12 @@ std::shared_ptr<const SummaryDelta> Directory::delta() const {
 
 SummaryEntries Directory::summary_entries() const {
   if (base_ == nullptr) return SummaryEntries(summary());
-  if (summary_caching_ && cached_view_ != nullptr && cached_view_epoch_ == epoch_) {
+  if (cached_view_ != nullptr && cached_view_epoch_ == epoch_) {
     return SummaryEntries(cached_view_);
   }
   cached_view_ = std::make_shared<SummaryView>(base_->summary, delta(), size_);
   cached_view_epoch_ = epoch_;
   return SummaryEntries(cached_view_);
-}
-
-void Directory::set_summary_caching(bool enabled) {
-  summary_caching_ = enabled;
-  if (!enabled) cached_summary_.reset();
 }
 
 namespace {
@@ -316,10 +311,7 @@ bool sorted_unique_by_id(const std::vector<PeerSummary>& v) {
 }  // namespace
 
 std::vector<RumorId> Directory::newer_in(const std::vector<PeerSummary>& remote) const {
-  // With caching disabled we also fall back to probing — together with the
-  // per-call summary rebuild this reproduces the pre-cache cost model that
-  // bench/gossip_throughput measures against.
-  if (!summary_caching_ || !sorted_unique_by_id(remote)) return newer_in_probe(remote);
+  if (!sorted_unique_by_id(remote)) return newer_in_probe(remote);
   const std::vector<PeerSummary>& local = *summary();
   std::vector<RumorId> out;
   std::size_t i = 0;
@@ -346,15 +338,19 @@ std::vector<RumorId> Directory::newer_in(const std::vector<PeerSummary>& remote)
 std::vector<RumorId> Directory::newer_in_probe(const std::vector<PeerSummary>& remote) const {
   std::vector<RumorId> out;
   for (const PeerSummary& s : remote) {
-    if (auto t = tombstones_.find(s.id); t != tombstones_.end() && s.version <= t->second) {
-      continue;  // we expired this record; don't pull it back
-    }
-    const PeerRecord* r = find(s.id);
-    if (r == nullptr || r->version < s.version) {
-      out.push_back(RumorId{s.id, s.version});
-    }
+    if (lacks(RumorId{s.id, s.version})) out.push_back(RumorId{s.id, s.version});
   }
   return out;
+}
+
+bool Directory::lacks(const RumorId& id) const {
+  if (!tombstones_.empty()) {
+    // At or below our tombstone: we expired this record; don't pull it back.
+    const auto t = tombstones_.find(id.origin);
+    if (t != tombstones_.end() && id.version <= t->second) return false;
+  }
+  const PeerRecord* r = find(id.origin);
+  return r == nullptr || r->version < id.version;
 }
 
 std::optional<std::uint64_t> Directory::tombstone_version(PeerId id) const {
@@ -364,7 +360,7 @@ std::optional<std::uint64_t> Directory::tombstone_version(PeerId id) const {
 }
 
 bool Directory::same_as(const std::vector<PeerSummary>& remote) const {
-  if (!summary_caching_ || !sorted_unique_by_id(remote)) return same_as_probe(remote);
+  if (!sorted_unique_by_id(remote)) return same_as_probe(remote);
   const std::vector<PeerSummary>& local = *summary();
   return local.size() == remote.size() && std::equal(local.begin(), local.end(), remote.begin());
 }
@@ -380,7 +376,7 @@ bool Directory::same_as_probe(const std::vector<PeerSummary>& remote) const {
 
 std::vector<RumorId> Directory::newer_in(const SummaryEntries& remote) const {
   const std::shared_ptr<const SummaryView>& view = remote.view();
-  if (base_ != nullptr && summary_caching_ && view != nullptr && view->base == base_->summary) {
+  if (base_ != nullptr && view != nullptr && view->base == base_->summary) {
     // Shared base: any remote entry outside its delta carries the base
     // version, which can never be newer than ours (local versions only move
     // forward from the base; removals leave tombstones that refuse stale
@@ -396,18 +392,14 @@ std::vector<RumorId> Directory::newer_in_delta(const std::vector<PeerSummary>& e
   merge_scan_entries_ += entries.size();
   std::vector<RumorId> out;
   for (const PeerSummary& s : entries) {
-    if (auto t = tombstones_.find(s.id); t != tombstones_.end() && s.version <= t->second) {
-      continue;  // we expired this record; don't pull it back
-    }
-    const PeerRecord* r = find(s.id);
-    if (r == nullptr || r->version < s.version) out.push_back(RumorId{s.id, s.version});
+    if (lacks(RumorId{s.id, s.version})) out.push_back(RumorId{s.id, s.version});
   }
   return out;
 }
 
 bool Directory::same_as(const SummaryEntries& remote) const {
   const std::shared_ptr<const SummaryView>& view = remote.view();
-  if (base_ != nullptr && summary_caching_ && view != nullptr && view->base == base_->summary) {
+  if (base_ != nullptr && view != nullptr && view->base == base_->summary) {
     // Identical bases: the merged summaries are equal iff the changed-sets
     // are. Deltas exclude belief-only overlay entries (version == base), so
     // equal merged lists always compare equal here and vice versa.

@@ -46,9 +46,9 @@ class Directory {
   /// The shared base, or nullptr in classic mode.
   const DirectoryBasePtr& base() const { return base_; }
 
-  /// Content token of the shared base (0 in classic mode). Advertised in
-  /// SummaryRequestMsg; a replier whose token matches may answer with a
-  /// delta-only SummaryMsg (delta summaries, docs/PROTOCOL.md).
+  /// Content token of the shared base (0 in classic mode). Lazy peers
+  /// advertise it in SummaryRequestMsg; a replier whose token matches
+  /// answers with a delta-only SummaryMsg (delta summaries, docs/PROTOCOL.md).
   std::uint64_t base_token() const { return base_ == nullptr ? 0 : base_->token; }
 
   /// Apply a remote update. Returns true if it superseded local knowledge
@@ -133,10 +133,12 @@ class Directory {
   /// for tests and the gossip_throughput bench).
   std::uint64_t summary_builds() const { return summary_builds_; }
 
-  /// Disable the epoch cache: every summary() call rebuilds and
-  /// newer_in/same_as fall back to per-entry probing — the pre-cache cost
-  /// model. Only used by bench/gossip_throughput as its baseline mode.
-  void set_summary_caching(bool enabled);
+  /// True when \p id is news here: it is not at or below a T_dead tombstone,
+  /// and its origin is unknown or held at an older version. Digest replies,
+  /// partial-anti-entropy piggybacks and the probe and delta summary diffs
+  /// all ask this (the merge-scan applies the same rule inline), so a stale
+  /// rumor never pulls an expired peer back.
+  bool lacks(const RumorId& id) const;
 
   /// Versions that \p remote has but we lack or hold older (what to pull).
   /// A merge-scan over our sorted snapshot when \p remote is sorted (the
@@ -168,8 +170,9 @@ class Directory {
   std::uint64_t merge_scan_entries() const { return merge_scan_entries_; }
 
   /// Reference implementations of newer_in/same_as via per-entry hash
-  /// probes, independent of the snapshot cache. The property tests pin the
-  /// merge-scan results against these; not used on the hot path.
+  /// probes, independent of the snapshot cache: they take any summary list,
+  /// sorted or not (decoded or hand-built), and the property tests pin the
+  /// merge-scan and shared-base results against them.
   std::vector<RumorId> newer_in_probe(const std::vector<PeerSummary>& remote) const;
   bool same_as_probe(const std::vector<PeerSummary>& remote) const;
 
@@ -214,7 +217,6 @@ class Directory {
   mutable std::shared_ptr<const SummaryView> cached_view_;
   mutable std::uint64_t cached_view_epoch_ = 0;
   mutable std::uint64_t merge_scan_entries_ = 0;
-  bool summary_caching_ = true;
 
   void add_id(PeerId id);
   void remove_id(PeerId id);

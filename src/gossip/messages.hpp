@@ -136,8 +136,9 @@ struct RumorWantMsg {
 };
 
 /// Pull anti-entropy step 1: ask the target for its directory summary.
-/// `base_token` (0 = none) advertises the asker's shared DirectoryBase; a
-/// replier holding the same base may answer with a delta-only SummaryMsg.
+/// `base_token` (0 = none) advertises the asker's shared DirectoryBase (lazy
+/// peers only); a replier holding the same base answers with a delta-only
+/// SummaryMsg.
 struct SummaryRequestMsg {
   std::uint64_t base_token = 0;
 };

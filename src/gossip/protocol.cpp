@@ -100,16 +100,17 @@ Protocol::Outgoing Protocol::join_via(PeerId introducer, TimePoint now) {
 Protocol::Outgoing Protocol::issue_summary_request(PeerId target, TimePoint now) {
   const int attempts = pending_pull_ ? pending_pull_->attempts + 1 : 1;
   // Exponential backoff per unanswered attempt; the shift is capped so the
-  // wait stays sane whatever max_ae_retries is configured to. Counted in
-  // rounds, not wall-clock, so it scales with the gossip interval.
+  // wait stays sane for a peer that keeps retrying its only known introducer
+  // past kMaxAeRetries. Counted in rounds, not wall-clock, so it scales with
+  // the gossip interval.
   const std::uint64_t wait =
-      static_cast<std::uint64_t>(config_.ae_retry_rounds) << std::min(attempts - 1, 6);
+      static_cast<std::uint64_t>(kAeRetryRounds) << std::min(attempts - 1, 6);
   pending_pull_ = PendingPull{target, round_counter_ + wait, attempts};
   (void)now;
   SummaryRequestMsg req;
-  // Advertise our shared-base token: a replier holding the same base answers
-  // with a delta-only summary (O(changed) entries instead of O(peers)).
-  if (config_.delta_summaries) req.base_token = directory_.base_token();
+  // A lazy peer advertises its shared-base token: a replier holding the same
+  // base answers with a delta-only summary (O(changed) entries, not O(peers)).
+  if (lazy()) req.base_token = directory_.base_token();
   return Outgoing{target, req};
 }
 
@@ -158,8 +159,8 @@ void Protocol::make_hot(RumorPtr p) {
   if (hot_.contains(id)) return;
   // Membership announcements (join/rejoin) introduce the origin's address;
   // until a receiver has it, any RumorWant it sends back has nowhere to go
-  // (net::LiveNode routes by directory address). Such rumors bootstrap
-  // eagerly in every rumor mode — see the "introduce" rule in on_round.
+  // (net::LiveNode routes by directory address). Such rumors carry their
+  // body for at least kIntroductionPushes transmissions — see carries_body.
   HotRumor hot;
   hot.introduce = p->payload().kind != EventKind::kFilterChange;
   hot.rumor = std::move(p);
@@ -193,7 +194,6 @@ void Protocol::reset_interval() {
 }
 
 void Protocol::register_gossipless_contact() {
-  if (!config_.adaptive_interval) return;
   if (++gossipless_count_ >= config_.gossipless_threshold) {
     interval_ = std::min(interval_ + config_.slow_down, config_.max_interval);
     gossipless_count_ = 0;
@@ -259,7 +259,7 @@ std::vector<Protocol::Outgoing> Protocol::on_round(TimePoint now) {
 
   // Catch-up anti-entropy (after join/rejoin): issue a summary pull, and if
   // its reply never arrives — lossy link, partition — retry against a fresh
-  // target with backoff. Bounded: after max_ae_retries unanswered attempts
+  // target with backoff. Bounded: after kMaxAeRetries unanswered attempts
   // we abandon the priority and fall back to the normal cadence, whose
   // idle-round anti-entropy below still converges us eventually.
   if (catch_up_pending_) {
@@ -270,7 +270,7 @@ std::vector<Protocol::Outgoing> Protocol::on_round(TimePoint now) {
       // over. A peer that knows nobody else — restarted with a lost
       // directory, its one join message to the introducer lost too — must
       // keep retrying that introducer or it is isolated forever.
-      if (pending_pull_->attempts >= config_.max_ae_retries &&
+      if (pending_pull_->attempts >= kMaxAeRetries &&
           directory_.online_count() > 1) {
         catch_up_pending_ = false;
         pending_pull_.reset();
@@ -315,72 +315,45 @@ std::vector<Protocol::Outgoing> Protocol::on_round(TimePoint now) {
   if (target == kInvalidPeer) return out;
   static const SizeModel kSizes{};
 
-  if (config_.rumor_mode == RumorMode::kEager) {
-    RumorMsg msg;
-    // Fill the message up to the byte budget (at least one payload): tiny
-    // rejoin records batch by the hundreds, bulky filter payloads by a few.
-    std::size_t budget = config_.max_rumor_bytes_per_message;
-    std::size_t take = 0;
-    for (; take < hot_order_.size(); ++take) {
-      HotRumor& hot = hot_.at(hot_order_[take]);
-      const std::size_t cost = payload_wire_size(hot.rumor->payload(), kSizes);
-      if (take > 0 && cost > budget) break;
-      msg.rumors.push_back(hot.rumor);  // shared: no payload copy per target
-      budget -= std::min(budget, cost);
-      ++hot.pushes;
-      ++stats_.payloads_sent;
-      stats_.payload_bytes_sent += cost;
-    }
-    // Rotate so rumors beyond the budget get their turn next round.
-    if (take < hot_order_.size()) {
-      std::rotate(hot_order_.begin(), hot_order_.begin() + static_cast<std::ptrdiff_t>(take),
-                  hot_order_.end());
-    }
-    if (config_.enable_partial_ae) {
-      msg.recent_ids.assign(recent_.begin(), recent_.end());
-    }
-    out.push_back(Outgoing{target, std::move(msg)});
-    return out;
-  }
-
-  // Lazy / hybrid dissemination (docs/PROTOCOL.md "Lazy dissemination"):
-  // payload bodies travel only while a rumor is young (hybrid: its first
-  // eager_fanout payload transmissions) and the target's link can take them;
-  // everything else goes as (id, version) digests. Digest entries cost 6
-  // modeled bytes, so the whole hot set advances every round — no byte-budget
-  // rotation, and an over-budget eager candidate still travels as a digest.
-  const PeerRecord* tr = directory_.find(target);
-  const bool lazy_link =
-      config_.bandwidth_aware && tr != nullptr && tr->link_class == LinkClass::kSlow;
-  RumorMsg eager_msg;
+  // Bodies fill the message up to the byte budget (at least one): tiny
+  // rejoin records batch by the hundreds, bulky filter payloads by a few.
+  // Eager dissemination stops at the budget and rotates the rest to the
+  // front for next round. Lazy dissemination (docs/PROTOCOL.md) sends the
+  // rest, over-budget bodies included, as 6-byte (id, version) digests, so
+  // the whole hot set advances every round.
+  const PeerRecord* tr = config_.bandwidth_aware ? directory_.find(target) : nullptr;
+  const bool slow_link = tr != nullptr && tr->link_class == LinkClass::kSlow;
+  RumorMsg msg;
   RumorDigestMsg digest;
   std::size_t budget = config_.max_rumor_bytes_per_message;
-  for (const RumorId& id : hot_order_) {
+  std::size_t sent = 0;
+  for (; sent < hot_order_.size(); ++sent) {
+    const RumorId& id = hot_order_[sent];
     HotRumor& hot = hot_.at(id);
-    // Hybrid pushes every young rumor eagerly (fast links only); pure lazy
-    // still pushes young *introductions* eagerly on every link — a digest
-    // about a peer the target cannot address yet is undeliverable news.
-    const bool eager_leg =
-        hot.introduce || (config_.rumor_mode == RumorMode::kHybrid && !lazy_link);
-    if (eager_leg && hot.pushes < config_.eager_fanout) {
+    if (carries_body(hot, slow_link)) {
       const std::size_t cost = payload_wire_size(hot.rumor->payload(), kSizes);
-      if (eager_msg.rumors.empty() || cost <= budget) {
-        eager_msg.rumors.push_back(hot.rumor);
+      if (msg.rumors.empty() || cost <= budget) {
+        msg.rumors.push_back(hot.rumor);  // shared: no payload copy per target
         budget -= std::min(budget, cost);
         ++hot.pushes;
         ++stats_.payloads_sent;
         stats_.payload_bytes_sent += cost;
         continue;
       }
+      if (!lazy()) break;
     }
     digest.ids.push_back(id);
   }
+  if (sent < hot_order_.size()) {
+    std::rotate(hot_order_.begin(), hot_order_.begin() + static_cast<std::ptrdiff_t>(sent),
+                hot_order_.end());
+  }
   if (config_.enable_partial_ae) {
     // One piggyback per round, attached to whichever message exists first,
-    // so an eager+digest pair does not carry the recent-id list twice.
+    // so a body+digest pair does not carry the recent-id list twice.
     std::vector<RumorId> recent(recent_.begin(), recent_.end());
-    if (!eager_msg.rumors.empty()) {
-      eager_msg.recent_ids = std::move(recent);
+    if (!msg.rumors.empty()) {
+      msg.recent_ids = std::move(recent);
     } else {
       digest.recent_ids = std::move(recent);
     }
@@ -389,11 +362,22 @@ std::vector<Protocol::Outgoing> Protocol::on_round(TimePoint now) {
     ++stats_.digests_sent;
     stats_.digest_ids_sent += digest.ids.size();
   }
-  if (!eager_msg.rumors.empty()) out.push_back(Outgoing{target, std::move(eager_msg)});
+  if (!msg.rumors.empty()) out.push_back(Outgoing{target, std::move(msg)});
   if (!digest.ids.empty() || !digest.recent_ids.empty()) {
     out.push_back(Outgoing{target, std::move(digest)});
   }
   return out;
+}
+
+bool Protocol::carries_body(const HotRumor& hot, bool slow_link) const {
+  if (!lazy()) return true;
+  // A digest about a peer the target cannot address yet is undeliverable
+  // news, so introductions push on every link; filter changes never push
+  // blind into a slow link (the two-class scheduler's rule, §7.2).
+  if (hot.introduce) {
+    return hot.pushes < std::max(config_.eager_fanout, kIntroductionPushes);
+  }
+  return !slow_link && hot.pushes < config_.eager_fanout;
 }
 
 // ---------------------------------------------------------------------------
@@ -479,7 +463,7 @@ bool Protocol::apply_payload(const RumorPayload& p, TimePoint now, PeerId from,
     record.filter_wire = existing->filter_wire;  // rejoin: filter unchanged
   }
 
-  directory_.apply(record);
+  if (!directory_.apply(record)) return false;  // at or below a T_dead tombstone
   if (hooks_.on_apply) hooks_.on_apply(p, now);
   if (need_full_pull && from != kInvalidPeer) {
     out.push_back(Outgoing{from, PullRequestMsg{{p.id()}}});
@@ -509,6 +493,14 @@ RumorPtr Protocol::pull_rumor_for(const PeerRecord& record) {
   return rumor;
 }
 
+std::vector<RumorId> Protocol::lacking(const std::vector<RumorId>& ids) const {
+  std::vector<RumorId> out;
+  for (const RumorId& id : ids) {
+    if (directory_.lacks(id)) out.push_back(id);
+  }
+  return out;
+}
+
 std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
                                                      const Message& msg) {
   std::vector<Outgoing> out;
@@ -535,10 +527,7 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
     if (config_.enable_partial_ae) {
       ack.recent_ids.assign(recent_.begin(), recent_.end());
       // Pull anything from the sender's piggyback that we are missing.
-      for (const RumorId& id : rumor->recent_ids) {
-        const PeerRecord* r = directory_.find(id.origin);
-        if (r == nullptr || r->version < id.version) ack.pull_ids.push_back(id);
-      }
+      ack.pull_ids = lacking(rumor->recent_ids);
     }
     out.push_back(Outgoing{from, std::move(ack)});
     // "Whenever x receives a rumor message ... it immediately resets its
@@ -549,7 +538,7 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
 
   if (const auto* ack = std::get_if<RumorAckMsg>(&msg)) {
     std::vector<RumorId> to_retire;
-    if (config_.rumor_mode == RumorMode::kEager) {
+    if (!lazy()) {
       // Stop-counter updates for the rumors we pushed: the ones listed were
       // already known at the target; any other hot rumor was news to it.
       std::unordered_set<RumorId, RumorIdHash> knew(ack->already_knew.begin(),
@@ -563,11 +552,10 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
         }
       }
     } else {
-      // Hybrid/lazy: a RumorMsg carries only the eager subset of the hot
-      // set, so absence from already_knew is no evidence of news — the lazy
-      // rumors were never in the message. Count only positive evidence here;
-      // resets come from RumorWantMsg want ids, which echo the digest
-      // exactly.
+      // Lazy: a RumorMsg carries only the bodies of the hot set, so absence
+      // from already_knew is no evidence of news — the digested rumors were
+      // never in the message. Count only positive evidence here; resets come
+      // from RumorWantMsg want ids, which echo the digest exactly.
       for (const RumorId& id : ack->already_knew) {
         auto it = hot_.find(id);
         if (it != hot_.end() && ++it->second.consecutive_known >= config_.stop_count) {
@@ -587,11 +575,7 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
       if (!resp.rumors.empty()) out.push_back(Outgoing{from, std::move(resp)});
     }
     // And pull what the target's piggyback showed us we are missing.
-    std::vector<RumorId> want;
-    for (const RumorId& id : ack->recent_ids) {
-      const PeerRecord* r = directory_.find(id.origin);
-      if (r == nullptr || r->version < id.version) want.push_back(id);
-    }
+    std::vector<RumorId> want = lacking(ack->recent_ids);
     if (!want.empty()) out.push_back(Outgoing{from, PullRequestMsg{std::move(want)}});
     return out;
   }
@@ -599,12 +583,12 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
   if (const auto* req = std::get_if<SummaryRequestMsg>(&msg)) {
     SummaryMsg reply;
     reply.entries = directory_.summary_entries();
-    if (config_.delta_summaries && req->base_token != 0 &&
-        req->base_token == directory_.base_token() && reply.entries.view() != nullptr) {
-      // Token match certifies the asker shares our base: only our changed-set
-      // needs to travel. `entries` keeps the full shared view (the simulator
-      // compares deltas by pointer identity); the wire layer prices and
-      // encodes the delta alone.
+    if (req->base_token != 0 && req->base_token == directory_.base_token() &&
+        reply.entries.view() != nullptr) {
+      // Token match (only lazy askers send one) certifies the asker shares
+      // our base: only our changed-set needs to travel. `entries` keeps the
+      // full shared view (the simulator compares deltas by pointer identity);
+      // the wire layer prices and encodes the delta alone.
       reply.base_token = req->base_token;
     }
     if (const auto tomb = directory_.tombstone_version(from); tomb.has_value()) {
@@ -659,7 +643,7 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
       if (!missing.empty() && directory_.online_count() <= 1) {
         catch_up_pending_ = true;
         pending_pull_ = PendingPull{
-            from, round_counter_ + static_cast<std::uint64_t>(config_.ae_retry_rounds), 1};
+            from, round_counter_ + static_cast<std::uint64_t>(kAeRetryRounds), 1};
       } else {
         catch_up_pending_ = false;
         pending_pull_.reset();
@@ -719,25 +703,17 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
         reply.already_knew.push_back(id);
         continue;
       }
-      if (const auto tomb = directory_.tombstone_version(id.origin);
-          tomb.has_value() && id.version <= *tomb) {
-        reply.already_knew.push_back(id);  // expired under T_dead: refuse resurrection
-        continue;
-      }
-      const PeerRecord* r = directory_.find(id.origin);
-      if (r != nullptr && r->version >= id.version) {
-        reply.already_knew.push_back(id);
-      } else {
+      // Known, or expired under T_dead (refuse resurrection): already knew.
+      if (directory_.lacks(id)) {
         reply.want.push_back(id);
+      } else {
+        reply.already_knew.push_back(id);
       }
     }
     if (config_.enable_partial_ae) {
       reply.recent_ids.assign(recent_.begin(), recent_.end());
       // Pull anything from the sender's piggyback that we are missing.
-      for (const RumorId& id : digest->recent_ids) {
-        const PeerRecord* r = directory_.find(id.origin);
-        if (r == nullptr || r->version < id.version) reply.pull_ids.push_back(id);
-      }
+      reply.pull_ids = lacking(digest->recent_ids);
     }
     // Advertised news implies community change, as a rumor receipt does.
     if (!reply.want.empty()) reset_interval();
@@ -786,11 +762,7 @@ std::vector<Protocol::Outgoing> Protocol::on_message(TimePoint now, PeerId from,
       if (r != nullptr && r->version >= id.version) resp.rumors.push_back(pull_rumor_for(*r));
     }
     if (!resp.rumors.empty()) out.push_back(Outgoing{from, std::move(resp)});
-    std::vector<RumorId> missing;
-    for (const RumorId& id : want->recent_ids) {
-      const PeerRecord* r = directory_.find(id.origin);
-      if (r == nullptr || r->version < id.version) missing.push_back(id);
-    }
+    std::vector<RumorId> missing = lacking(want->recent_ids);
     if (!missing.empty()) out.push_back(Outgoing{from, PullRequestMsg{std::move(missing)}});
     return out;
   }

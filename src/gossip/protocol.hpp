@@ -48,6 +48,23 @@ class Protocol {
 
   Protocol(PeerId self, GossipConfig config, Rng rng);
 
+  /// Under lazy dissemination a join or rejoin carries its body for at
+  /// least this many transmissions at each node, on every link: it
+  /// introduces the origin's address, without which a receiver cannot route
+  /// a want back.
+  static constexpr int kIntroductionPushes = 2;
+
+  /// An anti-entropy pull still unanswered after this many gossip rounds is
+  /// retried against a fresh target, doubling the wait each attempt, so a
+  /// lost reply cannot stall a catching-up peer. Counted in rounds so the
+  /// cadence scales with the gossip interval.
+  static constexpr int kAeRetryRounds = 2;
+
+  /// Unanswered catch-up attempts after which a joining or rejoining peer
+  /// falls back to the normal round cadence (whose idle-round anti-entropy
+  /// still converges it eventually).
+  static constexpr int kMaxAeRetries = 4;
+
   // ------------------------------------------------------------------
   // Local events (the origin side of rumors)
   // ------------------------------------------------------------------
@@ -77,7 +94,7 @@ class Protocol {
   /// for its full directory. The reply path downloads every record we lack.
   /// The pull is tracked: if the reply never arrives (lossy link, partition)
   /// it is retried with backoff on subsequent rounds, bounded by
-  /// config.max_ae_retries.
+  /// kMaxAeRetries.
   Outgoing join_via(PeerId introducer, TimePoint now = 0);
 
   /// Install initial directory state without generating rumors (used to
@@ -127,18 +144,25 @@ class Protocol {
   struct HotRumor {
     RumorPtr rumor;  ///< interned: every send shares one payload + encoding
     int consecutive_known = 0;
-    int pushes = 0;  ///< payload transmissions so far (hybrid eager→lazy cutover)
+    int pushes = 0;  ///< payload transmissions so far (lazy body→digest cutover)
     /// Join/rejoin announcements carry the origin's address — the one fact a
-    /// receiver needs before it can answer a digest with a want at all. They
-    /// stay eager for their first eager_fanout transmissions in every mode.
+    /// receiver needs before it can answer a digest with a want at all. Under
+    /// lazy dissemination they carry their body for at least
+    /// kIntroductionPushes transmissions, on every link.
     bool introduce = false;
   };
 
-  // Apply one payload; returns true if it was new. When a diff cannot be
-  // applied (missing base), the record is still accepted and the origin id
-  // is queued for a full-filter pull from \p from.
+  // Apply one payload; returns true if it was new (false for a version at or
+  // below a T_dead tombstone too). When a diff cannot be applied (missing
+  // base), the record is still accepted and the origin id is queued for a
+  // full-filter pull from \p from.
   bool apply_payload(const RumorPayload& p, TimePoint now, PeerId from,
                      std::vector<Outgoing>& out);
+
+  /// Lazy dissemination is on (GossipConfig::eager_fanout >= 0).
+  bool lazy() const { return config_.eager_fanout >= 0; }
+  /// Whether this round sends \p hot's body rather than its digest.
+  bool carries_body(const HotRumor& hot, bool slow_link) const;
 
   void make_hot(RumorPtr p);
   void retire_rumor(const RumorId& id);
@@ -162,6 +186,9 @@ class Protocol {
   /// filter change floods the piggybacks) reuse one payload and encoding;
   /// invalidated by version/key-count/filter changes and on expiry.
   RumorPtr pull_rumor_for(const PeerRecord& record);
+  /// The ids in \p ids this peer lacks (Directory::lacks): what a
+  /// partial-anti-entropy piggyback makes it pull.
+  std::vector<RumorId> lacking(const std::vector<RumorId>& ids) const;
 
   GossipConfig config_;
   Directory directory_;
@@ -185,7 +212,7 @@ class Protocol {
   /// Set on join/rejoin: we slept through events and must anti-entropy
   /// before resuming normal rumoring priorities; cleared by the first
   /// summary reply, by send failure to the chosen target (retry next round)
-  /// or after max_ae_retries unanswered attempts.
+  /// or after kMaxAeRetries unanswered attempts.
   bool catch_up_pending_ = false;
 
   /// The most recent summary request still awaiting its reply; drives the

@@ -4,7 +4,7 @@
 
 /// \file stats.hpp
 /// Dissemination counters kept by gossip::Protocol (docs/PROTOCOL.md "Lazy
-/// dissemination"). They answer the question the lazy rumor mode exists for:
+/// dissemination"). They answer the question lazy dissemination exists for:
 /// how many payload bytes were pushed blind, and how many of those arrived at
 /// a receiver that already knew them. Plain integers, aggregated by the
 /// embedding runtime (SimCommunity across peers, LiveNode into NetStats).
@@ -12,8 +12,9 @@
 namespace planetp::gossip {
 
 struct GossipStats {
-  /// Rumor payloads pushed blind in RumorMsg (eager mongering), and their
-  /// modeled wire bytes. Lazy mode never pushes blind, so both stay 0.
+  /// Rumor payloads pushed blind in RumorMsg, and their modeled wire bytes.
+  /// At eager_fanout 0 no filter change is pushed blind, so with no joins or
+  /// rejoins both stay 0.
   std::uint64_t payloads_sent = 0;
   std::uint64_t payload_bytes_sent = 0;
 

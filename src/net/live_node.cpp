@@ -71,6 +71,7 @@ void LiveNode::start() {
   fault_origin_ = steady_micros();
   reactor_.start([this](const Frame& f) { on_frame(f); },
                  [this](const std::string& addr) { on_send_failure(addr); });
+  Duration first = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     ByteWriter w;
@@ -93,8 +94,10 @@ void LiveNode::start() {
     } else {
       protocol_.local_join(address(), gossip::LinkClass::kFast, key_count, w.take(), 0);
     }
+    // Under mu_: the reactor is already delivering frames, and a received
+    // rumor resets the interval.
+    first = protocol_.current_interval();
   }
-  const Duration first = protocol_.current_interval();
   {
     std::lock_guard<std::mutex> lock(jitter_mu_);
     last_round_due_ = steady_micros() + first;

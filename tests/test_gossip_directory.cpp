@@ -206,14 +206,34 @@ TEST(Directory, EpochBumpsOnMembershipChangesOnly) {
   EXPECT_GT(dir.epoch(), e1);
 }
 
-TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOps) {
+/// Runs the randomized cache property test on a classic directory (false)
+/// or on one based on a shared DirectoryBase (true).
+void check_cached_summary_under_random_ops(bool based) {
   // Property test: after any interleaving of apply / mark_offline /
   // expire_dead / rejoin / put_self / find_mutable, the epoch-cached
-  // snapshot is element-identical to a summary built from scratch, and the
-  // merge-scan newer_in/same_as agree with the probe reference.
-  Directory dir(0);
-  dir.put_self(record(0, 1));
+  // snapshot, view and (based mode) delta are element-identical to ones built
+  // from scratch, and the merge-scan and shared-base newer_in/same_as agree
+  // with the probe reference. These are the evidence that the caches are
+  // behaviourally invisible.
+  // Based mode: the base holds self and ids 1..20; ids 21..24 join beyond it.
+  std::vector<PeerRecord> base_records;
+  for (PeerId id = 0; id <= 20; ++id) base_records.push_back(record(id, 1));
+  const DirectoryBasePtr base = make_directory_base(std::move(base_records));
+  const auto make_dir = [&](PeerId self) {
+    Directory d(self);
+    if (based) {
+      d.adopt_base(base);
+    } else {
+      d.put_self(record(self, 1));
+    }
+    return d;
+  };
+  Directory dir = make_dir(0);
+  // The remote side of the SummaryEntries compares: a second directory on
+  // the same base (based mode), driven by its own stream of ops.
+  Directory other = make_dir(1);
   Rng rng(0xD1CE);
+  Rng other_rng(0xBA5E);
   std::uint64_t next_version = 2;
 
   const auto fresh_summary = [&] {
@@ -224,6 +244,22 @@ TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOps) {
     return out;
   };
 
+  // \p fresh diffed with the base: entries whose (id, version) the base
+  // lacks, and base ids \p fresh no longer holds.
+  const auto fresh_delta = [&](const std::vector<PeerSummary>& fresh) {
+    SummaryDelta d;
+    const std::vector<PeerSummary>& b = *base->summary;
+    for (const PeerSummary& s : fresh) {
+      if (std::find(b.begin(), b.end(), s) == b.end()) d.entries.push_back(s);
+    }
+    for (const PeerSummary& s : b) {
+      const bool held = std::any_of(fresh.begin(), fresh.end(),
+                                    [&](const PeerSummary& f) { return f.id == s.id; });
+      if (!held) d.removed.push_back(s.id);
+    }
+    return d;
+  };
+
   const auto random_remote = [&] {
     std::vector<PeerSummary> remote;
     for (PeerId id = 1; id <= 24; ++id) {
@@ -231,6 +267,14 @@ TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOps) {
       remote.push_back(PeerSummary{id, rng.below(8) + 1});
     }
     return remote;
+  };
+
+  const auto lt = [](const RumorId& a, const RumorId& b) {
+    return a.origin != b.origin ? a.origin < b.origin : a.version < b.version;
+  };
+  const auto sorted = [&](std::vector<RumorId> v) {
+    std::sort(v.begin(), v.end(), lt);
+    return v;
   };
 
   for (int step = 0; step < 500; ++step) {
@@ -255,27 +299,57 @@ TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOps) {
         }
         break;
     }
+    const PeerId other_id = static_cast<PeerId>(2 + other_rng.below(23));
+    switch (other_rng.below(4)) {
+      case 0:
+      case 1:
+        other.apply(record(other_id, 1 + other_rng.below(next_version)));
+        break;
+      case 2:
+        other.mark_offline(other_id, 0);
+        break;
+      case 3:
+        other.expire_dead(10 * kHour, kHour);
+        break;
+    }
 
     const std::vector<PeerSummary> expect = fresh_summary();
     EXPECT_EQ(*dir.summary(), expect) << "step " << step;
     EXPECT_EQ(dir.summary().get(), dir.summary().get()) << "cache must hold";
+    EXPECT_EQ(dir.summary_entries().list(), expect) << "step " << step;
+    if (based) {
+      const SummaryDelta want = fresh_delta(expect);
+      EXPECT_EQ(dir.delta()->entries, want.entries) << "step " << step;
+      EXPECT_EQ(dir.delta()->removed, want.removed) << "step " << step;
+      EXPECT_EQ(dir.summary_entries().view(), dir.summary_entries().view())
+          << "cache must hold";
+    }
 
     std::size_t online = 0;
     dir.for_each([&](const PeerRecord& r) { online += r.online ? 1 : 0; });
     EXPECT_EQ(dir.online_count(), online) << "step " << step;
 
     const std::vector<PeerSummary> remote = random_remote();
-    const auto lt = [](const RumorId& a, const RumorId& b) {
-      return a.origin != b.origin ? a.origin < b.origin : a.version < b.version;
-    };
-    auto merged = dir.newer_in(remote);
-    auto probed = dir.newer_in_probe(remote);
-    std::sort(merged.begin(), merged.end(), lt);
-    std::sort(probed.begin(), probed.end(), lt);
-    EXPECT_EQ(merged, probed) << "step " << step;
+    EXPECT_EQ(sorted(dir.newer_in(remote)), sorted(dir.newer_in_probe(remote)))
+        << "step " << step;
     EXPECT_EQ(dir.same_as(remote), dir.same_as_probe(remote)) << "step " << step;
     EXPECT_TRUE(dir.same_as(expect)) << "step " << step;
+
+    const SummaryEntries view = other.summary_entries();
+    EXPECT_EQ(view.view() != nullptr, based);
+    EXPECT_EQ(sorted(dir.newer_in(view)), sorted(dir.newer_in_probe(view.list())))
+        << "step " << step;
+    EXPECT_EQ(dir.same_as(view), dir.same_as_probe(view.list())) << "step " << step;
+    EXPECT_TRUE(dir.same_as(dir.summary_entries())) << "step " << step;
   }
+}
+
+TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOps) {
+  check_cached_summary_under_random_ops(/*based=*/false);
+}
+
+TEST(Directory, CachedSummaryMatchesFreshBuildUnderRandomOpsOnBase) {
+  check_cached_summary_under_random_ops(/*based=*/true);
 }
 
 TEST(Directory, OnlineCount) {

@@ -416,6 +416,82 @@ TEST(Protocol, DeadPeerExpiresAfterTDead) {
   EXPECT_EQ(a.directory().find(2), nullptr);
 }
 
+TEST(Protocol, StaleRumorsAboutExpiredPeersAreOldNews) {
+  // A record at or below a peer's T_dead tombstone is refused by the
+  // directory. The protocol must then treat it as old news however it
+  // arrives: not hot, not applied, acknowledged as known (so the sender's
+  // stop counter advances), and never pulled through a piggyback or digest.
+  GossipConfig cfg = test_config();
+  cfg.t_dead = kHour;
+  Protocol a(1, cfg, Rng(1));
+  a.quiet_start("a", LinkClass::kFast, 0, {});
+  PeerRecord sender;
+  sender.id = 2;
+  sender.version = 1;
+  sender.address = "b";
+  a.directory().apply(sender);
+  PeerRecord x;
+  x.id = 3;
+  x.version = 3;
+  x.address = "x";
+  a.directory().apply(x);
+  a.directory().mark_offline(3, 0);
+  ASSERT_EQ(a.directory().expire_dead(2 * kHour, cfg.t_dead), std::vector<PeerId>{3});
+  ASSERT_EQ(a.directory().tombstone_version(3), 3u);
+
+  int applied = 0;
+  a.hooks().on_apply = [&](const RumorPayload&, TimePoint) { ++applied; };
+  RumorPayload stale;
+  stale.origin = 3;
+  stale.version = 3;
+  stale.address = "x";
+  stale.kind = EventKind::kRejoin;
+  const RumorId id{3, 3};
+
+  RumorMsg rumor;
+  rumor.rumors.push_back(stale);
+  rumor.recent_ids = {id};
+  const auto out = a.on_message(0, 2, rumor);
+  EXPECT_EQ(a.hot_rumor_count(), 0u) << "a stale rumor must not spread";
+  EXPECT_EQ(applied, 0) << "on_apply fires only for applied records";
+  ASSERT_EQ(out.size(), 1u) << "the ack, and no PullRequest";
+  const auto* ack = std::get_if<RumorAckMsg>(&out[0].msg);
+  ASSERT_NE(ack, nullptr);
+  EXPECT_EQ(ack->already_knew, std::vector<RumorId>{id});
+  EXPECT_TRUE(ack->pull_ids.empty()) << "the piggyback must not pull it back";
+
+  // The digest reply and the other three piggybacks refuse it too.
+  RumorAckMsg their_ack;
+  their_ack.recent_ids = {id};
+  RumorDigestMsg digest;
+  digest.ids = {id};
+  digest.recent_ids = {id};
+  RumorWantMsg want;
+  want.recent_ids = {id};
+  for (const Message& msg : {Message{their_ack}, Message{digest}, Message{want}}) {
+    for (const auto& o : a.on_message(0, 2, msg)) {
+      EXPECT_EQ(std::get_if<PullRequestMsg>(&o.msg), nullptr);
+      if (const auto* w = std::get_if<RumorWantMsg>(&o.msg)) {
+        EXPECT_TRUE(w->want.empty());
+        EXPECT_EQ(w->already_knew, std::vector<RumorId>{id});
+        EXPECT_TRUE(w->pull_ids.empty());
+      }
+    }
+  }
+  EXPECT_EQ(a.directory().find(3), nullptr) << "expired stays expired";
+  EXPECT_EQ(a.hot_rumor_count(), 0u);
+
+  // A strictly newer version is a real rejoin: applied and spread.
+  RumorMsg rejoin;
+  stale.version = 4;
+  rejoin.rumors.push_back(stale);
+  a.on_message(0, 2, rejoin);
+  ASSERT_NE(a.directory().find(3), nullptr);
+  EXPECT_EQ(a.directory().find(3)->version, 4u);
+  EXPECT_EQ(a.hot_rumor_count(), 1u);
+  EXPECT_EQ(applied, 1);
+}
+
 TEST(Protocol, LiveFilterDiffIsAppliedOnRumor) {
   // Full live-mode path: the origin sends a real encoded diff; a receiver
   // holding the base version applies it and ends with the exact filter.

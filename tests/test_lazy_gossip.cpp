@@ -12,14 +12,15 @@
 #include "sim/network.hpp"
 
 /// \file test_lazy_gossip.cpp
-/// The lazy dissemination mode (docs/PROTOCOL.md "Lazy dissemination"):
-/// digest/want/serve exchanges at the protocol level, the hybrid
-/// eager-first-hops transition, the two-class scheduler's slow-link rule, and
-/// community-level properties — eager, lazy and hybrid must converge to
-/// byte-identical directories under fault injection on the digest and want
-/// legs independently, a lost want must be healed by the existing bounded
-/// anti-entropy machinery, and a converged lazy community must move zero
-/// rumor payload bytes.
+/// Lazy dissemination (docs/PROTOCOL.md "Lazy dissemination"), selected by
+/// GossipConfig::eager_fanout >= 0: digest/want/serve exchanges at the
+/// protocol level, the body-to-digest cutover after eager_fanout pushes, the
+/// introduction rule, the two-class scheduler's slow-link rule, and
+/// community-level properties — eager_fanout kEagerAlways, 0 and 2 must
+/// converge to byte-identical directories under fault injection on the
+/// digest and want legs independently, a lost want must be healed by the
+/// existing bounded anti-entropy machinery, and a converged community with
+/// eager_fanout 0 must move zero rumor payload bytes.
 
 namespace planetp::gossip {
 namespace {
@@ -62,9 +63,9 @@ class Pump {
   std::deque<std::pair<PeerId, Protocol::Outgoing>> queue_;
 };
 
-GossipConfig mode_config(RumorMode mode) {
+GossipConfig fanout_config(int eager_fanout) {
   GossipConfig cfg;
-  cfg.rumor_mode = mode;
+  cfg.eager_fanout = eager_fanout;
   cfg.stop_count = 2;
   return cfg;
 }
@@ -82,7 +83,7 @@ void pair_with_rumor(Pump& pump, const GossipConfig& cfg, LinkClass b_class = Li
 
 TEST(LazyGossip, DigestWantServeDeliversTheBody) {
   Pump pump;
-  pair_with_rumor(pump, mode_config(RumorMode::kLazy));
+  pair_with_rumor(pump, fanout_config(0));
   auto& a = pump.peer(1);
   auto& b = pump.peer(2);
 
@@ -106,7 +107,7 @@ TEST(LazyGossip, DigestWantServeDeliversTheBody) {
 
 TEST(LazyGossip, KnownDigestsRetireTheRumorWithoutPayloads) {
   Pump pump;
-  pair_with_rumor(pump, mode_config(RumorMode::kLazy));
+  pair_with_rumor(pump, fanout_config(0));
   auto& a = pump.peer(1);
 
   // Round 1 delivers the body via want/serve; subsequent digests earn
@@ -122,8 +123,7 @@ TEST(LazyGossip, KnownDigestsRetireTheRumorWithoutPayloads) {
 }
 
 TEST(LazyGossip, HybridPushesEagerlyThenSwitchesToDigests) {
-  GossipConfig cfg = mode_config(RumorMode::kHybrid);
-  cfg.eager_fanout = 1;
+  GossipConfig cfg = fanout_config(1);
   Pump pump;
   pair_with_rumor(pump, cfg);
   auto& a = pump.peer(1);
@@ -148,8 +148,7 @@ TEST(LazyGossip, HybridPushesEagerlyThenSwitchesToDigests) {
 }
 
 TEST(LazyGossip, SlowTargetsAlwaysGetDigestsInHybrid) {
-  GossipConfig cfg = mode_config(RumorMode::kHybrid);
-  cfg.eager_fanout = 8;  // would stay eager for a fast target
+  GossipConfig cfg = fanout_config(8);  // would stay eager for a fast target
   cfg.bandwidth_aware = true;
   Pump pump;
   pair_with_rumor(pump, cfg, LinkClass::kSlow);
@@ -170,9 +169,9 @@ TEST(LazyGossip, JoinAnnouncementsTravelEagerlyEvenInLazyMode) {
   // A join rumor is the one message that carries a peer's address; a receiver
   // that only has the digest cannot even route its want back over a real
   // network (net::LiveNode drops messages to addressless peers). So
-  // introductions bootstrap eagerly for their first eager_fanout
-  // transmissions in every mode — filter changes stay digest-first.
-  GossipConfig cfg = mode_config(RumorMode::kLazy);
+  // introductions carry their body for their first kIntroductionPushes
+  // transmissions even at eager_fanout 0 — filter changes stay digest-first.
+  GossipConfig cfg = fanout_config(0);
   Pump pump;
   auto& a = pump.add(1, cfg);
   auto& b = pump.add(2, cfg);
@@ -191,12 +190,12 @@ TEST(LazyGossip, JoinAnnouncementsTravelEagerlyEvenInLazyMode) {
   ASSERT_NE(b.directory().find(1), nullptr);
   EXPECT_EQ(b.directory().find(1)->address, "a");
 
-  // Once past eager_fanout transmissions the same rumor goes lazy again.
-  for (int i = 0; i < cfg.eager_fanout - 1; ++i) pump.drain(), a.on_round(0);
+  // Once past kIntroductionPushes transmissions the same rumor goes lazy.
+  for (int i = 0; i < Protocol::kIntroductionPushes - 1; ++i) pump.drain(), a.on_round(0);
   const auto later = a.on_round(0);
   if (!later.empty()) {
     EXPECT_EQ(std::get_if<RumorMsg>(&later[0].msg), nullptr)
-        << "introductions go lazy after eager_fanout pushes";
+        << "introductions go lazy after kIntroductionPushes pushes";
   }
 }
 
@@ -208,13 +207,12 @@ namespace {
 
 gossip::PeerId pid(int i) { return static_cast<gossip::PeerId>(i); }
 
-SimConfig sim_config(gossip::RumorMode mode, std::uint64_t seed) {
+// Lazy peers on a shared base also exchange delta summaries, so the fault
+// sweep covers the token'd summary path too.
+SimConfig sim_config(int eager_fanout, std::uint64_t seed) {
   SimConfig cfg;
   cfg.seed = seed;
-  cfg.gossip.rumor_mode = mode;
-  // Delta anti-entropy ships with the lazy/hybrid bench rows; run it here so
-  // the fault sweep covers the token'd summary path too.
-  cfg.gossip.delta_summaries = mode != gossip::RumorMode::kEager;
+  cfg.gossip.eager_fanout = eager_fanout;
   return cfg;
 }
 
@@ -226,10 +224,10 @@ std::vector<gossip::PeerSummary> summary_of(SimCommunity& community, gossip::Pee
 /// Runs one community of `peers` members through three filter changes with
 /// faults injected on the digest and want legs independently (plus loss on
 /// the eager payload leg), then drains. Returns the per-peer summaries.
-std::vector<std::vector<gossip::PeerSummary>> run_faulted(gossip::RumorMode mode,
+std::vector<std::vector<gossip::PeerSummary>> run_faulted(int eager_fanout,
                                                           std::uint64_t seed, int peers,
                                                           bool* consistent) {
-  SimConfig cfg = sim_config(mode, seed);
+  SimConfig cfg = sim_config(eager_fanout, seed);
   const TimeWindow faulty{2 * kMinute, 12 * kMinute};
   cfg.faults.drop(FaultScope::any(), faulty, 0.3, false, MsgClass::kRumorDigest)
       .drop(FaultScope::any(), faulty, 0.3, false, MsgClass::kRumorWant)
@@ -262,9 +260,10 @@ TEST(LazyGossip, AllModesConvergeToIdenticalDirectoriesUnderFaults) {
   constexpr int kPeers = 48;
   for (std::uint64_t seed : {7ull, 21ull, 1234ull}) {
     bool eager_ok = false, lazy_ok = false, hybrid_ok = false;
-    const auto eager = run_faulted(gossip::RumorMode::kEager, seed, kPeers, &eager_ok);
-    const auto lazy = run_faulted(gossip::RumorMode::kLazy, seed, kPeers, &lazy_ok);
-    const auto hybrid = run_faulted(gossip::RumorMode::kHybrid, seed, kPeers, &hybrid_ok);
+    const auto eager =
+        run_faulted(gossip::GossipConfig::kEagerAlways, seed, kPeers, &eager_ok);
+    const auto lazy = run_faulted(0, seed, kPeers, &lazy_ok);
+    const auto hybrid = run_faulted(2, seed, kPeers, &hybrid_ok);
     EXPECT_TRUE(eager_ok) << "seed " << seed;
     EXPECT_TRUE(lazy_ok) << "seed " << seed;
     EXPECT_TRUE(hybrid_ok) << "seed " << seed;
@@ -282,7 +281,7 @@ TEST(LazyGossip, LostWantsAreHealedByAntiEntropy) {
   // but no body is ever requested successfully. The existing anti-entropy
   // machinery (summary exchange -> PullRequest -> PullResponse) must still
   // deliver the record to everyone.
-  SimConfig cfg = sim_config(gossip::RumorMode::kLazy, 99);
+  SimConfig cfg = sim_config(0, 99);
   cfg.faults.drop(FaultScope::any(), TimeWindow::always(), 1.0, false, MsgClass::kRumorWant);
 
   constexpr int kPeers = 12;
@@ -303,7 +302,7 @@ TEST(LazyGossip, LostWantsAreHealedByAntiEntropy) {
 }
 
 TEST(LazyGossip, ConvergedLazyCommunityMovesNoPayloadBytes) {
-  SimConfig cfg = sim_config(gossip::RumorMode::kLazy, 5);
+  SimConfig cfg = sim_config(0, 5);
   constexpr int kPeers = 50;
   SimCommunity community(cfg);
   for (int i = 0; i < kPeers; ++i) community.add_peer({link_speed::kLan45M, 1000});

@@ -184,8 +184,7 @@ TEST(LiveNode, LazyModeConvergesOverTcpWithoutBlindPayloads) {
   // blind payloads, and the body must still arrive (served as an RPC-class
   // frame, exempt from gossip backpressure shedding).
   LiveNodeConfig cfg = fast_config();
-  cfg.gossip.rumor_mode = gossip::RumorMode::kLazy;
-  cfg.gossip.delta_summaries = true;
+  cfg.gossip.eager_fanout = 0;
   LiveNode a(0, cfg);
   LiveNode b(1, cfg);
   a.start();

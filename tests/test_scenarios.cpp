@@ -138,6 +138,71 @@ TEST(Scenarios, DynamicMixTracksFastAndSlowOrigins) {
   EXPECT_EQ(r.fast_only.events + r.slow_only.events, r.all.events);
 }
 
+// Exact traces of small paper-default runs: every GossipConfig field at its
+// default apart from what the scenario itself sets. The other scenario tests
+// check shapes, not figures; these pins make any change to the default
+// dissemination path fail the suite. MIX with bandwidth_aware covers the
+// slow-link rule. A changed value is a trace change: find its cause rather
+// than re-recording it.
+TEST(Scenarios, PaperDefaultTracesArePinned) {
+  auto rumor = small_propagation(100);
+  rumor.profile = BandwidthProfile::kDsl;
+  auto ae = rumor;
+  ae.rumoring = false;
+  const auto pr = run_propagation(rumor);
+  EXPECT_TRUE(pr.converged);
+  EXPECT_EQ(pr.total_bytes, 1164834u);
+  EXPECT_EQ(pr.event_bytes, 1006062u);
+  EXPECT_DOUBLE_EQ(pr.propagation_seconds, 157.44352799999999);
+  const auto pa = run_propagation(ae);
+  EXPECT_TRUE(pa.converged);
+  EXPECT_EQ(pa.total_bytes, 954360u);
+  EXPECT_EQ(pa.event_bytes, 954360u);
+  EXPECT_DOUBLE_EQ(pa.propagation_seconds, 288.661519);
+
+  ArrivalOptions arrivals;
+  arrivals.stable_members = 40;
+  arrivals.arrivals = 8;
+  arrivals.mean_interarrival = 30 * kSecond;
+  arrivals.warmup = 2 * kMinute;
+  arrivals.drain = kHour;
+  const auto ar = run_arrivals(arrivals);
+  EXPECT_EQ(ar.events, 8u);
+  EXPECT_EQ(ar.converged, 8u);
+  EXPECT_DOUBLE_EQ(ar.mean_seconds, 198.84451800000005);
+  EXPECT_DOUBLE_EQ(ar.p50, 195.0159285);
+  EXPECT_DOUBLE_EQ(ar.p90, 240.09788129999998);
+  EXPECT_DOUBLE_EQ(ar.p99, 242.51454303);
+  arrivals.partial_ae = false;
+  const auto npa = run_arrivals(arrivals);
+  EXPECT_EQ(npa.events, 8u);
+  EXPECT_EQ(npa.converged, 8u);
+  EXPECT_DOUBLE_EQ(npa.mean_seconds, 235.16863724999999);
+  EXPECT_DOUBLE_EQ(npa.p50, 226.2852145);
+  EXPECT_DOUBLE_EQ(npa.p90, 319.04100419999997);
+  EXPECT_DOUBLE_EQ(npa.p99, 356.99270442);
+
+  DynamicOptions mix;
+  mix.members = 150;
+  mix.profile = BandwidthProfile::kMix;
+  mix.bandwidth_aware = true;
+  mix.warmup = 5 * kMinute;
+  mix.duration = kHour;
+  mix.mean_online = 20 * kMinute;
+  mix.mean_offline = 30 * kMinute;
+  const auto d = run_dynamic(mix);
+  EXPECT_EQ(d.total_bytes, 115104063u);
+  EXPECT_EQ(d.all.events, 124u);
+  EXPECT_EQ(d.all.converged, 116u);
+  EXPECT_DOUBLE_EQ(d.all.mean_seconds, 372.3409660172415);
+  EXPECT_EQ(d.fast_only.events, 110u);
+  EXPECT_EQ(d.fast_only.converged, 104u);
+  EXPECT_DOUBLE_EQ(d.fast_only.mean_seconds, 360.94942431730783);
+  EXPECT_EQ(d.slow_only.events, 14u);
+  EXPECT_EQ(d.slow_only.converged, 12u);
+  EXPECT_DOUBLE_EQ(d.slow_only.mean_seconds, 405.19642975000005);
+}
+
 TEST(Scenarios, ProfileNamesAndBandwidths) {
   EXPECT_STREQ(to_string(BandwidthProfile::kLan), "LAN");
   EXPECT_STREQ(to_string(BandwidthProfile::kDsl), "DSL");
