@@ -15,6 +15,7 @@
 #include <chrono>
 
 #include "index/compressed_postings.hpp"
+#include "index/inverted_index.hpp"
 #include "search/compact_directory.hpp"
 #include "search/experiment.hpp"
 
@@ -81,32 +82,39 @@ void compaction_ablation(const corpus::SynthCollection& collection,
   }
 }
 
-void compressed_index_comparison(const corpus::SynthCollection& collection,
-                                 const RetrievalSetup& setup) {
+void compressed_index_comparison(const corpus::SynthCollection& collection) {
   // The "Managing Gigabytes"-style read path: a compressed snapshot of the
-  // global index vs the mutable hash-map index, same ranking results.
+  // collection vs a mutable hash-map index of it, same ranking results.
   std::puts("# compressed posting-list snapshot (read path)");
+  index::InvertedIndex global;
+  for (const corpus::SynthDoc& doc : collection.docs) {
+    std::unordered_map<std::string, std::uint32_t> freqs;
+    for (const auto& [term, freq] : doc.terms) {
+      freqs.emplace(corpus::SynthCollection::term_string(term), freq);
+    }
+    global.add_document(index::DocumentId{0, doc.id}, freqs);
+  }
   const auto t0 = std::chrono::steady_clock::now();
-  const index::CompressedIndex snapshot = index::CompressedIndex::build(setup.global_index);
+  const index::CompressedIndex snapshot = index::CompressedIndex::build(global);
   const auto build_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
 
   // Rough footprint of the mutable index: postings + doc-length map.
   std::size_t postings = 0;
-  setup.global_index.for_each_term([&](const std::string& term) {
-    postings += setup.global_index.postings(term).size();
+  global.for_each_term([&](const std::string& term) {
+    postings += global.postings(term).size();
   });
   const std::size_t mutable_estimate =
       postings * (sizeof(index::Posting) + sizeof(void*)) +
-      setup.global_index.num_documents() * 16;
+      global.num_documents() * 16;
 
-  TfIdfRanker baseline(setup.global_index);
+  TfIdfRanker baseline(global);
   double checked = 0, agreed = 0;
   for (const auto& query : collection.queries) {
     const auto terms = query_term_strings(query);
     const auto weights = baseline.idf_weights(terms);
-    const auto a = search::score_documents(setup.global_index, weights);
+    const auto a = search::score_documents(global, weights);
     const auto b = snapshot.score(weights);
     checked += 1;
     if (a.size() == b.size() &&
@@ -139,6 +147,6 @@ int main(int argc, char** argv) {
   group_ablation(collection, setup);
   compaction_ablation(collection, setup);
   std::puts("");
-  compressed_index_comparison(collection, setup);
+  compressed_index_comparison(collection);
   return 0;
 }

@@ -25,11 +25,11 @@ int main() {
       distribute_collection(collection, 50, corpus::PlacementOptions{});
   std::printf("distributed over %zu peers\n\n", setup.num_peers);
 
-  TfIdfRanker baseline(setup.global_index);
-  const auto views = setup.filter_views();
-  const auto contact = setup.local_contact();
-
   const std::size_t k = 10;
+  const SnapshotRanker baseline(setup.global_snapshot);
+  const auto views = setup.filter_views();
+  const auto contact = setup.local_contact(k);
+
   double sum_overlap = 0.0;
   std::size_t shown = 0;
   for (const auto& query : collection.queries) {

@@ -29,7 +29,7 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 # is exactly the kind of code TSan exists for. test_pruned_topk covers the
 # block-max pruned readers racing a live writer (shared compressed base,
 # epoch swaps) — the PrunedTopK scope picks up its concurrent test along
-# with its SnapshotRanker identity cases.
+# with its SnapshotRanker and shipped-weight top_k identity cases.
 cmake -B build-tsan -S . -DPLANETP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target test_search test_search_faults test_sim test_data_store test_epoch_snapshot \
@@ -85,9 +85,12 @@ else
 fi
 
 # Indexing/ranking hot-path smoke run + perf-regression guard. The interned
-# rows measure the static-collection InvertedIndex + TfIdfRanker path of
-# the centralized baseline; the pruned rows measure a peer's query path,
-# SnapshotRanker over a compacted DataStore epoch. index_throughput exits
+# rows measure the InvertedIndex + TfIdfRanker reference the identity tests
+# rank against (no production path ranks through it); the pruned rows
+# measure the top-k driver every peer contact and the centralized baseline
+# rank through, via SnapshotRanker over a compacted DataStore epoch.
+# Judge its gates from full runs: under --quick the >=3x pruned gate reads
+# close to its threshold. index_throughput exits
 # non-zero when the interned pipeline's combined (publish x eval) speedup
 # over the legacy string-keyed cost model drops below 3x at 10k docs, when
 # the two paths rank different documents, when the block-max pruned top-k

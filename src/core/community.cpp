@@ -171,14 +171,14 @@ bool Community::step_until_converged(Duration limit, Duration stride) {
 
 search::PeerSearchResult Community::contact_ranked(
     PeerId caller, PeerId target,
-    const std::unordered_map<std::string, double>& term_weights) {
+    const std::unordered_map<std::string, double>& term_weights, std::size_t k) {
   if (target >= nodes_.size() || !online_[target]) {
     if (caller < nodes_.size()) {
       nodes_[caller]->protocol().on_send_failed(target, clock_.now());
     }
     return search::PeerSearchResult::failure(search::ContactStatus::kUnreachable);
   }
-  return search::PeerSearchResult::ok(nodes_[target]->handle_ranked_query(term_weights));
+  return search::PeerSearchResult::ok(nodes_[target]->handle_ranked_query(term_weights, k));
 }
 
 std::vector<SearchHit> Community::contact_exhaustive(PeerId caller, PeerId target,

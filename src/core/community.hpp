@@ -68,12 +68,12 @@ class Community {
   // Node-to-node transport (in-process "RPC")
   // ------------------------------------------------------------------
 
-  /// Ranked-query a peer; reports kUnreachable when the target is offline
-  /// (and notifies the caller's gossip protocol, which marks the peer
-  /// offline locally).
+  /// Ranked-query a peer for its top \p k; reports kUnreachable when the
+  /// target is offline (and notifies the caller's gossip protocol, which
+  /// marks the peer offline locally).
   search::PeerSearchResult contact_ranked(
       PeerId caller, PeerId target,
-      const std::unordered_map<std::string, double>& term_weights);
+      const std::unordered_map<std::string, double>& term_weights, std::size_t k);
 
   /// Exhaustive-query a peer; empty when the target is offline.
   std::vector<SearchHit> contact_exhaustive(PeerId caller, PeerId target,

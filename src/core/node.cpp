@@ -119,34 +119,12 @@ const bloom::BloomFilter* Node::own_filter() const {
 
 void Node::on_rumor_applied(const gossip::RumorPayload& payload) {
   if (payload.origin == id_) return;
-  if (!payload.filter.has_value() || payload.kind == gossip::EventKind::kRejoin) {
-    // Version bump with unchanged content: keep the filter and entries warm.
-    filter_cache_.touch_peer(payload.origin, payload.version);
-    return;
-  }
-  const gossip::FilterUpdate& fu = *payload.filter;
-  if (fu.base_version != 0 && !fu.bits.empty()) {
-    // Wire-backed peers merge the diff in the Golomb gap domain — the
-    // at-rest bytes absorb it and, if decoded-resident, the cached terms the
-    // diff touches are fixed surgically.
-    if (filter_cache_.apply_peer_diff_wire(payload.origin, fu.bits, fu.base_version,
-                                           payload.version)) {
-      return;
-    }
-    try {
-      ByteReader reader(fu.bits);
-      const BitVector diff = bloom::decode_diff(reader);
-      if (filter_cache_.apply_peer_diff(payload.origin, diff, fu.base_version,
-                                        payload.version)) {
-        return;  // surgical: untouched cached terms stayed warm
-      }
-    } catch (const std::exception&) {
-      // Corrupt diff: fall through and drop the stale filter.
-    }
-  }
-  // Full update, or a diff whose base we do not hold: drop the stale filter;
-  // the next filter_of re-decodes the record's full wire and re-warms.
-  filter_cache_.remove_peer(payload.origin);
+  // A rejoin re-announces unchanged content.
+  const gossip::FilterUpdate* fu = payload.filter ? &*payload.filter : nullptr;
+  filter_cache_.apply_update(payload.origin, payload.version,
+                             fu != nullptr && payload.kind != gossip::EventKind::kRejoin,
+                             fu != nullptr ? fu->base_version : 0,
+                             fu != nullptr ? fu->bits : std::span<const std::uint8_t>{});
 }
 
 void Node::on_peer_expired(PeerId peer) { filter_cache_.remove_peer(peer); }
@@ -247,11 +225,11 @@ std::vector<SearchHit> Node::ranked_search(std::string_view query, std::size_t k
   opts.seed = static_cast<std::uint64_t>(id_) << 32 | protocol_.directory().size();
   opts.cache = &filter_cache_;
 
-  const auto contact = [this](std::uint32_t peer,
-                              const std::unordered_map<std::string, double>& weights)
+  const auto contact = [this, k](std::uint32_t peer,
+                                 const std::unordered_map<std::string, double>& weights)
       -> search::PeerSearchResult {
-    if (peer == id_) return handle_ranked_query(weights);
-    return community_->contact_ranked(id_, peer, weights);
+    if (peer == id_) return handle_ranked_query(weights, k);
+    return community_->contact_ranked(id_, peer, weights, k);
   };
 
   const auto result = search::tfipf_search(terms, views, contact, opts);
@@ -305,10 +283,10 @@ std::vector<SearchHit> Node::proxy_ranked_search(std::string_view query, std::si
 }
 
 std::vector<search::ScoredDoc> Node::handle_ranked_query(
-    const std::unordered_map<std::string, double>& term_weights) const {
+    const std::unordered_map<std::string, double>& term_weights, std::size_t k) const {
   // Rank against the published epoch snapshot — byte-identical to scoring
   // the live index, and safe against concurrent publishes on this store.
-  return search::score_snapshot(*store_.snapshot(), term_weights);
+  return search::top_k(*store_.snapshot(), term_weights, k);
 }
 
 std::vector<SearchHit> Node::handle_exhaustive_query(std::string_view query) const {

@@ -140,9 +140,9 @@ class Node {
   Community* community() { return community_; }
 
   /// Evaluate a remote ranked query against the local index (eq. 2 with the
-  /// searcher's term weights).
+  /// searcher's term weights) and return this peer's top \p k.
   std::vector<search::ScoredDoc> handle_ranked_query(
-      const std::unordered_map<std::string, double>& term_weights) const;
+      const std::unordered_map<std::string, double>& term_weights, std::size_t k) const;
 
   /// Evaluate a remote exhaustive query locally; returns full hits.
   std::vector<SearchHit> handle_exhaustive_query(std::string_view query) const;
@@ -152,8 +152,9 @@ class Node {
   void on_directory_update(PeerId origin);
 
   /// Gossip-layer hook: a strictly newer rumor for \p payload.origin was
-  /// applied. Keeps the candidate cache warm — XOR filter diffs are applied
-  /// surgically (only cached terms whose bits the diff touches are fixed),
+  /// applied. Keeps the candidate cache warm through
+  /// CandidateCache::apply_update — XOR filter diffs merge in the wire
+  /// domain (only cached terms whose bits the diff touches are fixed),
   /// rejoin version bumps are recorded without re-decoding, and anything
   /// else drops the stale filter for lazy re-decode by filter_of.
   void on_rumor_applied(const gossip::RumorPayload& payload);

@@ -12,6 +12,14 @@ const IndexSegment::TermEntry* IndexSegment::find(std::string_view term) const {
   return &*it;
 }
 
+EpochSnapshot EpochSnapshot::of(std::shared_ptr<const CompressedIndex> base) {
+  EpochSnapshot snap;
+  snap.num_docs_ = base->num_documents();
+  snap.slot_count_ = base->num_documents();
+  snap.base_ = std::move(base);
+  return snap;
+}
+
 std::uint64_t EpochSnapshot::collection_frequency(std::string_view term,
                                                   std::uint64_t base_cf) const {
   std::uint64_t cf = base_cf;

@@ -42,7 +42,7 @@
 ///     CompressedIndex, dropping dead postings for good.
 ///
 /// The correctness contract is byte-identity: ranking any EpochSnapshot
-/// (search::score_snapshot / SnapshotRanker) produces bit-for-bit the same
+/// (search::top_k / SnapshotRanker) produces bit-for-bit the same
 /// scores, documents, and tie-breaks as ranking a sequential single-threaded
 /// index holding the same documents — regardless of segment layout, merge
 /// timing, or how many removals are still unfolded. The arithmetic argument:
@@ -104,6 +104,11 @@ struct EpochTombstone {
 /// need, adjusted exactly for unfolded removals.
 class EpochSnapshot {
  public:
+  /// A snapshot of an already-built base with nothing pending: how a static
+  /// collection (the §7.3 harness's peers and global index) is ranked by the
+  /// same driver as a live store, without a DataStore commit per document.
+  static EpochSnapshot of(std::shared_ptr<const CompressedIndex> base);
+
   std::uint64_t epoch() const { return epoch_; }
 
   /// Live documents (postings of removed documents are skipped, exactly as

@@ -13,10 +13,10 @@
 /// \file inverted_index.hpp
 /// Mutable inverted index over a static collection: term -> postings
 /// (document, term frequency), supplying the f_{D,t} and |D| statistics of
-/// the ranking equations (§5.2). It is the merged-collection index of the
-/// §7.3 centralized TFxIDF baseline and the sequential reference the
-/// identity tests rank against; a peer's own store indexes through the
-/// epoch pipeline instead (data_store.hpp, epoch_index.hpp).
+/// the ranking equations (§5.2). It is the sequential reference the
+/// identity tests rank against; nothing in the program ranks through it. A
+/// peer's own store indexes through the epoch pipeline (data_store.hpp,
+/// epoch_index.hpp), and the §7.3 harness ranks compacted snapshots.
 ///
 /// Internally the index is keyed by dense store-local TermIds from an
 /// interned TermDictionary, and every document gets a dense *slot* so the

@@ -1,6 +1,7 @@
 #include "net/live_node.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "bloom/wire.hpp"
 #include "gossip/messages.hpp"
@@ -22,35 +23,16 @@ LiveNode::LiveNode(PeerId id, LiveNodeConfig config, std::uint16_t port)
       last_announced_(config.bloom),
       filter_cache_(config.candidate_cache) {
   reactor_.listen(port);
-  // Keep the candidate cache warm from the gossip stream: XOR filter diffs
-  // apply surgically (cached terms whose bits the diff misses stay warm),
-  // rejoins are version touches, anything else drops the stale filter for
-  // lazy re-decode on the next query. Both hooks fire under mu_.
+  // Keep the candidate cache warm from the gossip stream (the same
+  // maintenance path as core::Node). Both hooks fire under mu_.
   protocol_.hooks().on_apply = [this](const gossip::RumorPayload& payload, TimePoint) {
     if (payload.origin == id_) return;
-    if (!payload.filter.has_value() || payload.kind == gossip::EventKind::kRejoin) {
-      filter_cache_.touch_peer(payload.origin, payload.version);
-      return;
-    }
-    const gossip::FilterUpdate& fu = *payload.filter;
-    if (fu.base_version != 0 && !fu.bits.empty()) {
-      // Wire-backed peers absorb the diff in the Golomb gap domain (at-rest
-      // bytes updated in place, resident decoded copies fixed surgically).
-      if (filter_cache_.apply_peer_diff_wire(payload.origin, fu.bits, fu.base_version,
-                                             payload.version)) {
-        return;
-      }
-      try {
-        ByteReader reader(fu.bits);
-        const BitVector diff = bloom::decode_diff(reader);
-        if (filter_cache_.apply_peer_diff(payload.origin, diff, fu.base_version,
-                                          payload.version)) {
-          return;
-        }
-      } catch (const std::exception&) {
-      }
-    }
-    filter_cache_.remove_peer(payload.origin);
+    // A rejoin re-announces unchanged content.
+    const gossip::FilterUpdate* fu = payload.filter ? &*payload.filter : nullptr;
+    filter_cache_.apply_update(payload.origin, payload.version,
+                               fu != nullptr && payload.kind != gossip::EventKind::kRejoin,
+                               fu != nullptr ? fu->base_version : 0,
+                               fu != nullptr ? fu->bits : std::span<const std::uint8_t>{});
   };
   protocol_.hooks().on_expire = [this](PeerId peer) { filter_cache_.remove_peer(peer); };
 }
@@ -362,9 +344,9 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     resp.request_id = req->request_id;
     std::unordered_map<std::string, double> weights;
     for (const WeightedTerm& t : req->weights) weights.emplace(t.term, t.weight);
-    // Rank lock-free against the published epoch snapshot; mu_ is only taken
-    // afterwards for the title lookups.
-    const auto scored = search::score_snapshot(*store_.snapshot(), weights);
+    // Rank the searcher's top k lock-free against the published epoch
+    // snapshot; mu_ is only taken afterwards for the title lookups.
+    const auto scored = search::top_k(*store_.snapshot(), weights, req->k);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : scored) {
@@ -556,7 +538,7 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
     if (peer == id_) {
       // Self-evaluation ranks lock-free against the epoch snapshot; mu_
       // guards only the title map.
-      auto docs = search::score_snapshot(*store_.snapshot(), weights);
+      auto docs = search::top_k(*store_.snapshot(), weights, k);
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : docs) {
         const index::Document* doc = store_.document(d.doc);
@@ -569,6 +551,8 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
       std::lock_guard<std::mutex> lock(rpc_mu_);
       req.request_id = next_request_id_++;
     }
+    req.k = static_cast<std::uint32_t>(
+        std::min<std::size_t>(k, std::numeric_limits<std::uint32_t>::max()));
     for (const auto& [term, weight] : weights) req.weights.push_back({term, weight});
     const TimePoint sent_at = steady_micros();
     search::ContactStatus status = search::ContactStatus::kTimeout;

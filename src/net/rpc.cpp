@@ -1,5 +1,6 @@
 #include "net/rpc.hpp"
 
+#include <limits>
 #include <stdexcept>
 
 namespace planetp::net {
@@ -71,6 +72,7 @@ struct Encoder {
   void operator()(const RankedRequest& m) const {
     w.u8(static_cast<std::uint8_t>(Tag::kRankedRequest));
     w.u64(m.request_id);
+    w.varint(m.k);
     w.varint(m.weights.size());
     for (const WeightedTerm& t : m.weights) {
       w.str(t.term);
@@ -143,6 +145,11 @@ RpcMessage decode_rpc(std::span<const std::uint8_t> data) {
     case Tag::kRankedRequest: {
       RankedRequest m;
       m.request_id = r.u64();
+      const std::uint64_t k = r.varint();
+      if (k > std::numeric_limits<std::uint32_t>::max()) {
+        throw std::out_of_range("decode_rpc: ranked k exceeds 32 bits");
+      }
+      m.k = static_cast<std::uint32_t>(k);
       const std::size_t n = r.count(9);  // str + f64
       m.weights.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {

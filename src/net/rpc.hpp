@@ -26,8 +26,12 @@ struct RemoteDoc {
   std::string title;
 };
 
+/// Evaluate eq. 2 under the searcher's weights and return the receiver's
+/// own top \p k (docs/SEARCH.md §1: no document the merged top-k needs is
+/// left behind).
 struct RankedRequest {
   std::uint64_t request_id = 0;
+  std::uint32_t k = 0;
   std::vector<WeightedTerm> weights;
 };
 

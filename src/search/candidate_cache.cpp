@@ -258,6 +258,20 @@ bool CandidateCache::touch_peer(std::uint32_t peer, std::uint64_t version) {
   return true;
 }
 
+void CandidateCache::apply_update(std::uint32_t peer, std::uint64_t version,
+                                  bool filter_changed, std::uint64_t base_version,
+                                  std::span<const std::uint8_t> filter_bits) {
+  if (!filter_changed) {
+    touch_peer(peer, version);
+    return;
+  }
+  if (base_version != 0 && !filter_bits.empty() &&
+      apply_peer_diff_wire(peer, filter_bits, base_version, version)) {
+    return;
+  }
+  remove_peer(peer);
+}
+
 void CandidateCache::remove_peer(std::uint32_t peer) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = peers_.find(peer);

@@ -136,6 +136,18 @@ class CandidateCache {
   /// rumor). Returns false when the peer is unknown.
   bool touch_peer(std::uint32_t peer, std::uint64_t version);
 
+  /// The one maintenance path for a gossiped update to a remote \p peer at
+  /// \p version, taken by both runtimes once their directory applied it.
+  /// Unchanged content (\p filter_changed false: a rejoin, or a record
+  /// without a filter) is a version touch. An XOR diff (\p base_version !=
+  /// 0, \p filter_bits an encode_diff string) merges through
+  /// apply_peer_diff_wire. Anything else — a full filter, or a diff the
+  /// cache refuses — forgets the peer, and the next update_peer_wire of the
+  /// record's full wire re-warms it. Both runtimes keep remote peers
+  /// wire-backed, so a refused diff has no decoded fallback to try.
+  void apply_update(std::uint32_t peer, std::uint64_t version, bool filter_changed,
+                    std::uint64_t base_version, std::span<const std::uint8_t> filter_bits);
+
   /// Forget a peer (expired from the directory): its filter is dropped and
   /// it is removed from every cached candidate list.
   void remove_peer(std::uint32_t peer);

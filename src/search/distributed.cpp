@@ -168,10 +168,7 @@ DistributedSearchResult tfipf_search(const std::vector<std::string>& query_terms
 
   auto merge_docs = [&](const std::vector<ScoredDoc>& local) {
     merged.insert(merged.end(), local.begin(), local.end());
-    std::sort(merged.begin(), merged.end(), [](const ScoredDoc& a, const ScoredDoc& b) {
-      if (a.score != b.score) return a.score > b.score;
-      return a.doc < b.doc;
-    });
+    std::sort(merged.begin(), merged.end(), ranks_before);
   };
   auto contributed_to_top_k = [&](const std::vector<ScoredDoc>& local) {
     std::unordered_set<index::DocumentId, index::DocumentIdHash> top;

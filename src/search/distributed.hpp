@@ -115,6 +115,13 @@ struct PeerSearchResult {
 /// status codes. tfipf_search may invoke it several times for the same peer
 /// (bounded retry) and concurrently from hedged searches, so it must be
 /// re-entrant with respect to the data it captures.
+///
+/// A contact built for a search with result budget k may return only the
+/// peer's own top k (search::top_k) rather than every match: ranks_before
+/// is a strict total order, so a document that enters the merged top-k is
+/// in its peer's top-k, and tfipf_search's result, eq. 4 contribution test
+/// and stop test come out the same (docs/SEARCH.md §1). The function does
+/// not receive k; a contact captures it.
 using PeerSearchFn = std::function<PeerSearchResult(
     std::uint32_t peer, const std::unordered_map<std::string, double>& term_weights)>;
 

@@ -1,6 +1,7 @@
 #include "search/experiment.hpp"
 
 #include <algorithm>
+#include <memory>
 #include <unordered_set>
 
 #include "search/candidate_cache.hpp"
@@ -32,12 +33,39 @@ void RetrievalSetup::prime_cache(CandidateCache& cache) const {
   }
 }
 
-PeerSearchFn RetrievalSetup::local_contact() const {
-  return [this](std::uint32_t peer,
-                const std::unordered_map<std::string, double>& weights) {
-    return score_documents(peer_indexes[peer], weights);
+PeerSearchFn RetrievalSetup::local_contact(std::size_t k) const {
+  return [this, k](std::uint32_t peer,
+                   const std::unordered_map<std::string, double>& weights) {
+    return top_k(peer_snapshots[peer], weights, k);
   };
 }
+
+namespace {
+
+/// Compress \p members (ascending ids) into one snapshot base, straight
+/// through CompressedIndex::Builder.
+index::EpochSnapshot compress(const std::vector<const SynthDoc*>& members) {
+  std::vector<DocumentId> docs;
+  std::vector<std::uint32_t> lengths;
+  docs.reserve(members.size());
+  lengths.reserve(members.size());
+  std::unordered_map<corpus::TermId, std::vector<std::pair<std::uint32_t, std::uint32_t>>>
+      postings;
+  for (std::uint32_t dense = 0; dense < members.size(); ++dense) {
+    const SynthDoc& doc = *members[dense];
+    docs.push_back(DocumentId{0, doc.id});
+    lengths.push_back(doc.length());
+    for (const auto& [term, freq] : doc.terms) postings[term].emplace_back(dense, freq);
+  }
+  index::CompressedIndex::Builder builder(std::move(docs), std::move(lengths));
+  for (const auto& [term, list] : postings) {
+    builder.add_term(SynthCollection::term_string(term), list);
+  }
+  return index::EpochSnapshot::of(
+      std::make_shared<const index::CompressedIndex>(builder.take()));
+}
+
+}  // namespace
 
 RetrievalSetup distribute_collection(const SynthCollection& collection,
                                      std::size_t num_peers,
@@ -45,26 +73,28 @@ RetrievalSetup distribute_collection(const SynthCollection& collection,
                                      const bloom::BloomParams& bloom_params) {
   RetrievalSetup setup;
   setup.num_peers = num_peers;
-  setup.peer_indexes.resize(num_peers);
   setup.peer_filters.assign(num_peers, bloom::BloomFilter(bloom_params));
 
   const std::vector<std::uint32_t> owners =
       corpus::place_documents(collection.docs.size(), num_peers, placement);
 
+  // Generated documents carry ascending ids, so every member list below is
+  // already in the ascending order the Builder expects.
+  std::vector<std::vector<const SynthDoc*>> peer_docs(num_peers);
+  std::vector<const SynthDoc*> all_docs;
+  all_docs.reserve(collection.docs.size());
   for (const SynthDoc& doc : collection.docs) {
     const std::uint32_t peer = owners[doc.id];
-    const DocumentId id{0, doc.id};
-    setup.owner_of.emplace(id, peer);
-
-    std::unordered_map<std::string, std::uint32_t> freqs;
-    freqs.reserve(doc.terms.size());
+    setup.owner_of.emplace(DocumentId{0, doc.id}, peer);
+    peer_docs[peer].push_back(&doc);
+    all_docs.push_back(&doc);
     for (const auto& [term, freq] : doc.terms) {
-      freqs.emplace(SynthCollection::term_string(term), freq);
+      setup.peer_filters[peer].insert(SynthCollection::term_string(term));
     }
-    setup.peer_indexes[peer].add_document(id, freqs);
-    setup.global_index.add_document(id, freqs);
-    for (const auto& [term, freq] : freqs) setup.peer_filters[peer].insert(term);
   }
+  setup.peer_snapshots.reserve(num_peers);
+  for (const auto& members : peer_docs) setup.peer_snapshots.push_back(compress(members));
+  setup.global_snapshot = compress(all_docs);
   return setup;
 }
 
@@ -87,9 +117,9 @@ RetrievalPoint evaluate_at_k(const SynthCollection& collection, const RetrievalS
   point.k = k;
   if (collection.queries.empty()) return point;
 
-  TfIdfRanker baseline(setup.global_index);
+  const SnapshotRanker baseline(setup.global_snapshot);
   const auto views = setup.filter_views();
-  const auto contact = setup.local_contact();
+  const auto contact = setup.local_contact(k);
 
   for (const SynthQuery& query : collection.queries) {
     const auto terms = query_term_strings(query);

@@ -5,7 +5,7 @@
 #include "bloom/bloom_filter.hpp"
 #include "corpus/placement.hpp"
 #include "corpus/synthetic.hpp"
-#include "index/inverted_index.hpp"
+#include "index/epoch_index.hpp"
 #include "search/distributed.hpp"
 #include "search/evaluation.hpp"
 
@@ -13,26 +13,30 @@
 /// The §7.3 retrieval experiments (Fig 6a-c): distribute a collection over a
 /// simulated community, then compare the centralized TFxIDF baseline with
 /// PlanetP's TFxIPF + adaptive stopping, measuring recall, precision and
-/// peers contacted against the collection's relevance judgments.
+/// peers contacted against the collection's relevance judgments. Both sides
+/// rank compacted epoch snapshots through the peers' top-k driver
+/// (search/ranker.hpp), so Fig 6 measures the code a contacted peer runs.
 
 namespace planetp::search {
 
-/// A collection distributed over a community: per-peer indexes and Bloom
-/// filters plus the merged global index the TFxIDF baseline assumes.
-/// Documents keep their global ids (DocumentId{0, doc}); owner_of maps each
-/// to its hosting peer.
+/// A collection distributed over a community: per-peer snapshots and Bloom
+/// filters plus the merged global snapshot the TFxIDF baseline assumes.
+/// Each snapshot is one block-structured CompressedIndex base with nothing
+/// pending. Documents keep their global ids (DocumentId{0, doc}); owner_of
+/// maps each to its hosting peer.
 struct RetrievalSetup {
   std::size_t num_peers = 0;
-  std::vector<index::InvertedIndex> peer_indexes;
+  std::vector<index::EpochSnapshot> peer_snapshots;
   std::vector<bloom::BloomFilter> peer_filters;
-  index::InvertedIndex global_index;
+  index::EpochSnapshot global_snapshot;
   std::unordered_map<index::DocumentId, std::uint32_t, index::DocumentIdHash> owner_of;
 
   /// Directory view handed to the distributed search.
   std::vector<PeerFilter> filter_views() const;
 
-  /// Contact function evaluating queries directly against peer indexes.
-  PeerSearchFn local_contact() const;
+  /// Contact function for a search with result budget \p k: each peer
+  /// ranks its own snapshot through search::top_k and returns its top k.
+  PeerSearchFn local_contact(std::size_t k) const;
 
   /// Register every peer filter with \p cache (non-owning: the setup must
   /// outlive the cache), so filter_views() rows resolve through warm

@@ -205,13 +205,18 @@ bool heap_offer(std::vector<ScoredDoc>& heap, std::size_t k, const ScoredDoc& ca
 }
 
 /// Bounded top-k selection over touched slots; byte-identical to sorting
-/// all matches and truncating.
+/// all matches and truncating. When k covers every match the heap is
+/// skipped and the matches are sorted outright (the same order).
 template <typename ScoreAt>
 std::vector<ScoredDoc> select_top_k(const std::vector<std::uint32_t>& touched, std::size_t k,
                                     ScoreAt&& scored) {
   std::vector<ScoredDoc> heap;
   heap.reserve(std::min(k, touched.size()));
-  for (const std::uint32_t slot : touched) heap_offer(heap, k, scored(slot));
+  if (k >= touched.size()) {
+    for (const std::uint32_t slot : touched) heap.push_back(scored(slot));
+  } else {
+    for (const std::uint32_t slot : touched) heap_offer(heap, k, scored(slot));
+  }
   std::sort(heap.begin(), heap.end(), ranks_before);
   return heap;
 }
@@ -753,6 +758,58 @@ void pruned_base_scan(const index::EpochSnapshot& snap, std::size_t k, RankScrat
   }
 }
 
+/// The driver's core, shared by both entry points. On entry s.weighted
+/// holds the query's positive (term, weight) pairs in lexicographic order,
+/// and s.cursors one base cursor per weighted term the base holds, in the
+/// same order, whose lists total \p base_postings. Prunes over a qualifying
+/// base; otherwise scores exhaustively.
+std::vector<ScoredDoc> rank_prepared(const index::EpochSnapshot& snap, std::size_t k,
+                                     std::uint64_t base_postings, RankScratch& s,
+                                     PruneStats* stats) {
+  if (k == 0) return {};
+  const CompressedIndex* base = snap.base();
+  if (base == nullptr || k >= snap.num_documents() || base_postings < kMinPrunedPostings ||
+      base->num_documents() < kMinPrunedDocs) {
+    // Fallback matrix (docs/INDEX.md): no merged base yet, k covers the
+    // whole live corpus, or too few base postings to pay for pruning.
+    if (stats) ++stats->prune_fallbacks;
+    accumulate_snapshot(snap, s);
+    return select_top_k(s.touched, k, [&](std::uint32_t slot) {
+      return snapshot_scored_at(snap, slot, s.acc[slot]);
+    });
+  }
+  if (stats) ++stats->pruned_queries;
+
+  // Pending segments are scored exhaustively (they are small by the folding
+  // policy and carry no block metadata) with the exact snapshot arithmetic,
+  // seeding the heap; the base is then scanned pruned. Every live document
+  // lives entirely in the base or in exactly one segment occurrence, and
+  // ranks_before is a strict total order, so merging through the shared
+  // heap reproduces the exhaustive ranking byte for byte.
+  const std::uint32_t base_slots = static_cast<std::uint32_t>(base->num_documents());
+  s.acc.assign(snap.slot_count() - base_slots, 0.0);
+  s.touched.clear();
+  for (const auto& [term, weight] : s.weighted) {
+    const double w = weight;
+    snap.for_each_segment_posting(term,
+                                  [&s, base_slots, w](std::uint32_t slot, std::uint32_t freq) {
+                                    const std::uint32_t rel = slot - base_slots;
+                                    if (s.acc[rel] == 0.0) s.touched.push_back(rel);
+                                    s.acc[rel] += score_contribution_memo(freq, w);
+                                  });
+  }
+  s.heap.clear();
+  for (const std::uint32_t rel : s.touched) {
+    const std::uint32_t slot = base_slots + rel;
+    heap_offer(s.heap, k, snapshot_scored_at(snap, slot, s.acc[rel]));
+  }
+
+  pruned_base_scan(snap, k, s, stats);
+  std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
+  std::sort(out.begin(), out.end(), ranks_before);
+  return out;
+}
+
 }  // namespace
 
 std::vector<ScoredDoc> score_documents(
@@ -816,26 +873,22 @@ std::vector<ScoredDoc> TfIdfRanker::top_k(const std::vector<std::string>& terms,
                       [&](std::uint32_t slot) { return scored_at(idx, slot, s.acc[slot]); });
 }
 
-std::vector<ScoredDoc> score_snapshot(
-    const index::EpochSnapshot& snap,
-    const std::unordered_map<std::string, double>& term_weights) {
+std::vector<ScoredDoc> top_k(const index::EpochSnapshot& snap,
+                             const std::unordered_map<std::string, double>& term_weights,
+                             std::size_t k, PruneStats* stats) {
   RankScratch& s = scratch();
   sort_weighted_terms(term_weights, s.weighted);
   s.cursors.clear();
+  std::uint64_t base_postings = 0;
   if (const CompressedIndex* base = snap.base()) {
     for (const auto& [term, weight] : s.weighted) {
       auto cur = base->postings(term);
-      if (!cur.done()) s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
+      if (cur.done()) continue;
+      base_postings += cur.size();
+      s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
     }
   }
-  accumulate_snapshot(snap, s);
-  std::vector<ScoredDoc> out;
-  out.reserve(s.touched.size());
-  for (const std::uint32_t slot : s.touched) {
-    out.push_back(snapshot_scored_at(snap, slot, s.acc[slot]));
-  }
-  std::sort(out.begin(), out.end(), ranks_before);
-  return out;
+  return rank_prepared(snap, k, base_postings, s, stats);
 }
 
 std::unordered_map<std::string, double> SnapshotRanker::idf_weights(
@@ -850,11 +903,10 @@ std::unordered_map<std::string, double> SnapshotRanker::idf_weights(
 
 std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& terms,
                                              std::size_t k, PruneStats* stats) const {
-  if (k == 0) return {};
   const index::EpochSnapshot& snap = *snap_;
   RankScratch& s = scratch();
-  // Same canonical lexicographic order as TfIdfRanker::top_k, with IDF
-  // inputs from the snapshot's exact live statistics.
+  // Canonical lexicographic order, with IDF inputs from the snapshot's
+  // exact live statistics.
   s.sorted_terms.assign(terms.begin(), terms.end());
   std::sort(s.sorted_terms.begin(), s.sorted_terms.end());
   s.sorted_terms.erase(std::unique(s.sorted_terms.begin(), s.sorted_terms.end()),
@@ -882,47 +934,7 @@ std::vector<ScoredDoc> SnapshotRanker::top_k(const std::vector<std::string>& ter
     base_postings += cur.size();
     s.cursors.push_back(make_pruned_cursor(std::move(cur), weight));
   }
-
-  if (base == nullptr || k >= live || base_postings < kMinPrunedPostings ||
-      base->num_documents() < kMinPrunedDocs) {
-    // Fallback matrix (docs/INDEX.md): no merged base yet, k covers the
-    // whole live corpus, or too few base postings to pay for pruning.
-    if (stats) ++stats->prune_fallbacks;
-    accumulate_snapshot(snap, s);
-    return select_top_k(s.touched, k, [&](std::uint32_t slot) {
-      return snapshot_scored_at(snap, slot, s.acc[slot]);
-    });
-  }
-  if (stats) ++stats->pruned_queries;
-
-  // Pending segments are scored exhaustively (they are small by the folding
-  // policy and carry no block metadata) with the exact snapshot arithmetic,
-  // seeding the heap; the base is then scanned pruned. Every live document
-  // lives entirely in the base or in exactly one segment occurrence, and
-  // ranks_before is a strict total order, so merging through the shared
-  // heap reproduces the exhaustive ranking byte for byte.
-  const std::uint32_t base_slots = static_cast<std::uint32_t>(base->num_documents());
-  s.acc.assign(snap.slot_count() - base_slots, 0.0);
-  s.touched.clear();
-  for (const auto& [term, weight] : s.weighted) {
-    const double w = weight;
-    snap.for_each_segment_posting(term,
-                                  [&s, base_slots, w](std::uint32_t slot, std::uint32_t freq) {
-                                    const std::uint32_t rel = slot - base_slots;
-                                    if (s.acc[rel] == 0.0) s.touched.push_back(rel);
-                                    s.acc[rel] += score_contribution_memo(freq, w);
-                                  });
-  }
-  s.heap.clear();
-  for (const std::uint32_t rel : s.touched) {
-    const std::uint32_t slot = base_slots + rel;
-    heap_offer(s.heap, k, snapshot_scored_at(snap, slot, s.acc[rel]));
-  }
-
-  pruned_base_scan(snap, k, s, stats);
-  std::vector<ScoredDoc> out(s.heap.begin(), s.heap.end());
-  std::sort(out.begin(), out.end(), ranks_before);
-  return out;
+  return rank_prepared(snap, k, base_postings, s, stats);
 }
 
 void truncate_top_k(std::vector<ScoredDoc>& docs, std::size_t k) {

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -9,32 +10,34 @@
 #include "index/inverted_index.hpp"
 
 /// \file ranker.hpp
-/// Document scoring (eq. 2). The same accumulation serves the centralized
-/// TFxIDF baseline (term weights = IDF over the global index) and PlanetP's
-/// local evaluation of a remote query (term weights = IPF shipped by the
-/// searcher).
+/// Document scoring (eq. 2). One top-k driver ranks every epoch snapshot in
+/// the program: a contacted peer's local evaluation of a remote query (term
+/// weights = IPF shipped by the searcher, through top_k) and the §7.3
+/// centralized TFxIDF baseline (term weights = IDF over the global
+/// snapshot, through SnapshotRanker::top_k). Both entry points hand their
+/// prepared terms to the same core.
 ///
 /// Scoring follows Witten, Moffat & Bell's accumulator-array organization:
 /// postings carry dense document slots, so per-query work is additions into
-/// a flat double array (no string- or id-keyed hash map), and the top-k path
-/// selects results with a bounded min-heap instead of sorting every matched
+/// a flat double array (no string- or id-keyed hash map), and top-k
+/// selection uses a bounded min-heap instead of sorting every matched
 /// document. The heap's tie-break (equal scores -> ascending DocumentId) is
 /// pinned to be byte-identical to the full-sort path.
 ///
-/// On top of that sits the *pruned* top-k driver (docs/INDEX.md "Block-max
-/// pruning"): when SnapshotRanker ranks an epoch snapshot whose base is a
-/// block-structured CompressedIndex, terms are ordered by score upper
-/// bound, a bounded min-heap maintains the entry threshold, and blocks
-/// whose maxima cannot beat the threshold are skipped outright (MaxScore /
-/// Block-Max-WAND). The driver is rank-safe: its output is byte-identical —
-/// scores, documents, tie-breaks — to exhaustive scoring for every k.
-/// Pending epoch segments and tombstones are handled exactly (segments
-/// scored unpruned, tombstoned documents dropped per candidate), and
-/// correctness-critical corner cases fall back to the exhaustive path.
+/// Over a snapshot whose base is a block-structured CompressedIndex the
+/// driver prunes (docs/INDEX.md "Block-max pruning"): terms are ordered by
+/// score upper bound, a bounded min-heap maintains the entry threshold, and
+/// blocks whose maxima cannot beat the threshold are skipped outright
+/// (MaxScore / Block-Max-WAND). The driver is rank-safe: its output is
+/// byte-identical — scores, documents, tie-breaks — to exhaustive scoring
+/// for every k. Pending epoch segments and tombstones are handled exactly
+/// (segments scored unpruned, tombstoned documents dropped per candidate),
+/// and correctness-critical corner cases fall back to exhaustive scoring.
 ///
 /// score_documents and TfIdfRanker rank a mutable InvertedIndex
-/// exhaustively: the centralized baseline of §7.3 over a static merged
-/// collection, and the reference the identity tests rank against.
+/// exhaustively. Nothing in the program ranks through them: they are the
+/// independent references the identity tests and index_throughput's
+/// exhaustive rows compare the driver against.
 
 namespace planetp::search {
 
@@ -73,22 +76,34 @@ struct PruneStats {
 /// Score all documents of \p idx against the weighted query terms:
 ///   score(D) = sum_t w_{D,t} * weight_t / sqrt(|D|)
 /// Documents matching no term are omitted. Results are sorted by descending
-/// score (ties broken by DocumentId for determinism).
+/// score (ties broken by DocumentId for determinism). Reference only.
 std::vector<ScoredDoc> score_documents(
     const index::InvertedIndex& idx,
     const std::unordered_map<std::string, double>& term_weights);
 
-/// Score all live documents of an immutable epoch snapshot — the lock-free
-/// concurrent-reader path (DataStore::snapshot()). Byte-identical to
-/// score_documents over an InvertedIndex holding the same documents: both
+/// The top-k driver: the best \p k live documents of an immutable epoch
+/// snapshot under the caller's term weights (terms with weight <= 0 are
+/// ignored), in ranks_before order. Pruned over a qualifying base,
+/// exhaustive otherwise; byte-identical to score_documents over an
+/// InvertedIndex holding the same documents, truncated to k — both
 /// accumulate score_contribution in lexicographic term order and tie-break
-/// with ranks_before.
-std::vector<ScoredDoc> score_snapshot(
-    const index::EpochSnapshot& snap,
-    const std::unordered_map<std::string, double>& term_weights);
+/// with ranks_before. Lock-free against concurrent publishes
+/// (DataStore::snapshot()).
+std::vector<ScoredDoc> top_k(const index::EpochSnapshot& snap,
+                             const std::unordered_map<std::string, double>& term_weights,
+                             std::size_t k, PruneStats* stats = nullptr);
 
-/// The centralized TFxIDF baseline of §7.3: assumes full knowledge of the
-/// community's merged index, scores with IDF weights and returns the top-k.
+/// Every live document the weighted terms match: the driver at k = every
+/// match.
+inline std::vector<ScoredDoc> score_snapshot(
+    const index::EpochSnapshot& snap,
+    const std::unordered_map<std::string, double>& term_weights) {
+  return top_k(snap, term_weights, std::numeric_limits<std::size_t>::max());
+}
+
+/// TFxIDF over a mutable InvertedIndex with a bounded min-heap, identical
+/// to full scoring + truncate_top_k. Reference only: the §7.3 baseline ranks
+/// through SnapshotRanker.
 class TfIdfRanker {
  public:
   explicit TfIdfRanker(const index::InvertedIndex& global_index)
@@ -106,11 +121,11 @@ class TfIdfRanker {
   const index::InvertedIndex* index_;
 };
 
-/// TFxIDF ranking over an immutable epoch snapshot: the concurrent-reader
-/// analogue of TfIdfRanker, and the only caller of the pruned driver. IDF
-/// inputs come from the snapshot's exact live statistics, so results are
-/// byte-identical (scores, documents, tie-breaks) to TfIdfRanker over an
-/// InvertedIndex holding the same documents.
+/// TFxIDF ranking over an immutable epoch snapshot: the §7.3 centralized
+/// baseline's entry point into the driver. IDF inputs come from the
+/// snapshot's exact live statistics, so results are byte-identical (scores,
+/// documents, tie-breaks) to TfIdfRanker over an InvertedIndex holding the
+/// same documents.
 class SnapshotRanker {
  public:
   explicit SnapshotRanker(const index::EpochSnapshot& snap) : snap_(&snap) {}
@@ -119,11 +134,9 @@ class SnapshotRanker {
   std::unordered_map<std::string, double> idf_weights(
       const std::vector<std::string>& terms) const;
 
-  /// Top-k documents by eq. 2; bounded min-heap, identical result to full
-  /// scoring + truncate_top_k. When the snapshot has a block-structured
-  /// base, the base is scanned through the pruned block-max driver while
-  /// pending segments are scored exhaustively and tombstoned documents are
-  /// dropped per candidate — rank-safe under live publishes and removals.
+  /// Top-k documents by eq. 2 under IDF weights. Each term probes the
+  /// base once for both its weight and its cursor, then the prepared terms
+  /// go to the same core as search::top_k.
   std::vector<ScoredDoc> top_k(const std::vector<std::string>& terms, std::size_t k,
                                PruneStats* stats = nullptr) const;
 

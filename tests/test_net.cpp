@@ -90,11 +90,13 @@ TEST(Framing, CorruptLengthThrows) {
 TEST(Rpc, RankedRoundtrip) {
   RankedRequest req;
   req.request_id = 99;
+  req.k = 4'000'000'000u;  // a multi-byte varint near the 32-bit ceiling
   req.weights = {{"gossip", 1.5}, {"bloom", 0.25}};
   const RpcMessage decoded = decode_rpc(encode_rpc(req));
   const auto* out = std::get_if<RankedRequest>(&decoded);
   ASSERT_NE(out, nullptr);
   EXPECT_EQ(out->request_id, 99u);
+  EXPECT_EQ(out->k, 4'000'000'000u);
   ASSERT_EQ(out->weights.size(), 2u);
   EXPECT_EQ(out->weights[0].term, "gossip");
   EXPECT_DOUBLE_EQ(out->weights[1].weight, 0.25);

@@ -8,6 +8,7 @@
 #include <limits>
 #include <stdexcept>
 #include <tuple>
+#include <variant>
 
 #include "gossip/messages.hpp"
 #include "index/xml.hpp"
@@ -148,6 +149,23 @@ TEST(DecoderBounds, HostileListCountsAreRejectedBeforeAllocation) {
   summary.u8(0);  // push
   summary.varint(std::uint64_t{1} << 40);  // entry count
   EXPECT_THROW((void)gossip::decode_message(summary.data()), std::out_of_range);
+}
+
+TEST(DecoderBounds, RankedRequestKMustFitThirtyTwoBits) {
+  // A RankedRequest's k is a varint: one past the 32-bit ceiling is
+  // rejected, the ceiling itself decodes.
+  const auto request_with_k = [](std::uint64_t k) {
+    ByteWriter w;
+    w.u8(1);  // RankedRequest
+    w.u64(7);
+    w.varint(k);
+    w.varint(0);  // no weights
+    return w.take();
+  };
+  EXPECT_THROW((void)net::decode_rpc(request_with_k(std::uint64_t{1} << 32)), std::out_of_range);
+  const net::RpcMessage msg = net::decode_rpc(request_with_k(0xFFFFFFFF));
+  ASSERT_TRUE(std::holds_alternative<net::RankedRequest>(msg));
+  EXPECT_EQ(std::get<net::RankedRequest>(msg).k, 0xFFFFFFFFu);
 }
 
 class FuzzDecoders : public ::testing::TestWithParam<std::uint64_t> {};

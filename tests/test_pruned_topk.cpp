@@ -18,7 +18,8 @@
 #include "util/rng.hpp"
 
 /// Rank-safety property tests for the block-max pruned top-k driver
-/// (docs/INDEX.md "Block-max pruning"), reached through SnapshotRanker. The
+/// (docs/INDEX.md "Block-max pruning"), reached through SnapshotRanker and,
+/// with shipped weights, through search::top_k. The
 /// contract under test: for every k, the pruned result is byte-identical —
 /// same documents, same score BITS, same tie-breaks — to exhaustive scoring,
 /// both over a fully compacted base (against CompressedIndex::score and
@@ -227,9 +228,14 @@ std::string zipf_body(Rng& rng, const ZipfSampler& zipf,
   return body;
 }
 
-/// Byte-identity of the pruned snapshot top-k against full snapshot scoring.
+/// Byte-identity of the pruned snapshot top-k against full snapshot scoring,
+/// for two inputs per query: the snapshot's IDF weights through
+/// SnapshotRanker (the §7.3 baseline's entry point), and shipped positive
+/// weights unrelated to IDF — as a searcher's IPF weights are — through
+/// top_k (every peer contact's entry point), counted in \p shipped_stats.
 void verify_snapshot_pruned(const DataStore& store, Rng& rng, const ZipfSampler& zipf,
-                            const std::vector<std::string>& vocab, PruneStats& stats) {
+                            const std::vector<std::string>& vocab, PruneStats& stats,
+                            PruneStats& shipped_stats) {
   const auto snap = store.snapshot();
   const SnapshotRanker ranker(*snap);
   for (int q = 0; q < 6; ++q) {
@@ -245,6 +251,18 @@ void verify_snapshot_pruned(const DataStore& store, Rng& rng, const ZipfSampler&
       auto want = full;
       truncate_top_k(want, k);
       expect_bit_identical(ranker.top_k(terms, k, &stats), want, "SnapshotRanker");
+    }
+
+    // Own stream, so the store's publish/removal draws stay as they were.
+    Rng wrng(0x1F00 + static_cast<std::uint64_t>(q) * 7919 + snap->epoch());
+    std::unordered_map<std::string, double> shipped;
+    for (const std::string& t : terms) shipped[t] = 0.05 + 3.0 * wrng.uniform();
+    const auto shipped_full = score_snapshot(*snap, shipped);
+    for (const std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{10},
+                                std::size_t{100}, snap->num_documents()}) {
+      auto want = shipped_full;
+      truncate_top_k(want, k);
+      expect_bit_identical(top_k(*snap, shipped, k, &shipped_stats), want, "top_k shipped");
     }
   }
 }
@@ -265,13 +283,14 @@ TEST(PrunedTopK, SnapshotRankerLiveEpochsBitIdentical) {
   const ZipfSampler zipf(300, 1.1);
 
   PruneStats stats;
+  PruneStats shipped;
   std::vector<DocumentId> live;
 
   // Phase 1: small store, no compacted base yet — everything falls back.
   for (int d = 0; d < 60; ++d) {
     live.push_back(store.publish_text(vocab[d % vocab.size()], zipf_body(rng, zipf, vocab, 20)));
   }
-  verify_snapshot_pruned(store, rng, zipf, vocab, stats);
+  verify_snapshot_pruned(store, rng, zipf, vocab, stats, shipped);
 
   // Phase 2: grow to a corpus whose hot posting lists span many blocks,
   // then compact so the published base carries skip metadata everywhere.
@@ -279,7 +298,7 @@ TEST(PrunedTopK, SnapshotRankerLiveEpochsBitIdentical) {
     live.push_back(store.publish_text(vocab[d % vocab.size()], zipf_body(rng, zipf, vocab, 30)));
   }
   store.compact();
-  verify_snapshot_pruned(store, rng, zipf, vocab, stats);
+  verify_snapshot_pruned(store, rng, zipf, vocab, stats, shipped);
   const std::uint64_t skipped_after_compact = stats.blocks_skipped;
   EXPECT_GT(skipped_after_compact, 0u);  // large case: pruning provably fired
 
@@ -295,10 +314,14 @@ TEST(PrunedTopK, SnapshotRankerLiveEpochsBitIdentical) {
                                         zipf_body(rng, zipf, vocab, 25)));
     }
   }
-  verify_snapshot_pruned(store, rng, zipf, vocab, stats);
+  verify_snapshot_pruned(store, rng, zipf, vocab, stats, shipped);
   EXPECT_GT(stats.blocks_skipped, skipped_after_compact);
   EXPECT_GT(stats.pruned_queries, 0u);
   EXPECT_GT(stats.prune_fallbacks, 0u);  // phase 1 + k = inf queries
+  // The shipped weights took both paths of the same driver too.
+  EXPECT_GT(shipped.pruned_queries, 0u);
+  EXPECT_GT(shipped.blocks_skipped, 0u);
+  EXPECT_GT(shipped.prune_fallbacks, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ struct Scenario {
   sim::SimCommunity::LocalEvalFn local_eval() const {
     return [this](gossip::PeerId peer,
                   const std::unordered_map<std::string, double>& weights) {
-      return score_documents(setup.peer_indexes[peer], weights);
+      return score_snapshot(setup.peer_snapshots[peer], weights);
     };
   }
 
@@ -59,7 +59,7 @@ struct Scenario {
     DistributedSearchOptions opts;
     opts.k = kTopK;
     const auto r = tfipf_search(query_term_strings(q), setup.filter_views(),
-                                setup.local_contact(), opts);
+                                setup.local_contact(kTopK), opts);
     return recall(r.docs, judgment_set(q));
   }
 };
