@@ -26,7 +26,10 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 # actually exercise cross-thread code.
 # test_reactor and test_net ride along: the reactor's cross-thread surface
 # (send/post/schedule vs the loop thread, LiveNode RPC wakeups, cluster churn)
-# is exactly the kind of code TSan exists for. test_pruned_topk covers the
+# is exactly the kind of code TSan exists for. Every LiveNode test and the
+# Runtimes differential tests (test_runtimes) cover LiveNode's locking around
+# its core::Peer: every Peer call under mu_ except the lock-free rank of the
+# epoch snapshot. test_pruned_topk covers the
 # block-max pruned readers racing a live writer (shared compressed base,
 # epoch swaps) — the PrunedTopK scope picks up its concurrent test along
 # with its SnapshotRanker and shipped-weight top_k identity cases.
@@ -34,9 +37,9 @@ cmake -B build-tsan -S . -DPLANETP_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS" \
   --target test_search test_search_faults test_sim test_data_store test_epoch_snapshot \
            test_reactor test_net test_compact_directory test_compressed_at_rest \
-           test_lazy_gossip test_pruned_topk
+           test_lazy_gossip test_pruned_topk test_runtimes
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-  -R 'DistributedSearchConcurrent|ParallelStepping|MixedWorkload|Reactor|LiveNode.RpcFailsFastWhenPeerCrashes|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK'
+  -R 'DistributedSearchConcurrent|ParallelStepping|MixedWorkload|Reactor|LiveNode\.|Runtimes\.|CompactDirectory|CompressedAtRest|LazyGossip|PrunedTopK'
 
 # Query hot-path smoke run + perf-regression guard: search_throughput exits
 # non-zero when the warm CandidateCache is not >=5x the uncached scan at 5000

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "bloom/wire.hpp"
-
 namespace planetp::core {
 
 Community::Community(NodeConfig defaults, SyncMode mode, std::uint64_t seed)
@@ -22,26 +20,19 @@ Node& Community::create_node(const NodeConfig& config) {
                             static_cast<std::uint64_t>(defaults_.gossip.base_interval))));
   Node& node = *nodes_.back();
 
-  // Join the gossip layer. In instant mode everybody learns immediately; in
-  // gossip mode the join rumor has to propagate like any other. The join
-  // carries a real (empty) encoded filter so later filter-change diffs have
-  // a base to apply against.
-  ByteWriter filter_writer;
-  bloom::encode_filter(filter_writer, node.store().bloom_filter());
-  node.protocol().local_join("mem://" + std::to_string(id), config.link_class, 0,
-                             filter_writer.take(), clock_.now());
-  node.protocol().hooks().on_apply = [this, id](const gossip::RumorPayload& payload,
-                                                TimePoint) {
-    // Candidate-cache maintenance first (surgical diff application keeps
-    // warm entries warm), then the persistent-query/rendezvous machinery,
-    // which may decode the updated filter.
-    nodes_[id]->on_rumor_applied(payload);
+  // The peer's own hook maintains its candidate cache (surgical diff
+  // application keeps warm entries warm); the persistent-query/rendezvous
+  // machinery runs after it, since it may decode the updated filter.
+  gossip::Protocol::Hooks& hooks = node.protocol().hooks();
+  hooks.on_apply = [this, id, update_cache = std::move(hooks.on_apply)](
+                       const gossip::RumorPayload& payload, TimePoint now) {
+    update_cache(payload, now);
     applied_update(id, payload.origin);
   };
-  node.protocol().hooks().on_expire = [this, id](PeerId peer) {
-    nodes_[id]->on_peer_expired(peer);
-  };
 
+  // The node joined its gossip layer on construction. In instant mode
+  // everybody learns immediately; in gossip mode the join rumor has to
+  // propagate like any other.
   if (mode_ == SyncMode::kInstant) {
     record_changed(id);
     // The newcomer also gets everyone else's records.

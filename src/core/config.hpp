@@ -13,17 +13,13 @@
 
 namespace planetp::core {
 
-struct NodeConfig {
+/// What every peer needs, whichever runtime drives it (core::Peer): the
+/// summary, the gossip protocol and the ranked-search knobs. NodeConfig and
+/// net::LiveNodeConfig add their runtime's own settings.
+struct PeerConfig {
   bloom::BloomParams bloom;            ///< 50 KB / 2 hashes by default (§7.1)
   text::AnalyzerOptions analyzer;      ///< tokenize + stop words + stemming
   gossip::GossipConfig gossip;
-
-  /// Brokerage publication policy used by PFS (§6): publish each document's
-  /// snippet under its most frequent terms so searchers find it before the
-  /// new Bloom filter has diffused.
-  double broker_top_fraction = 0.10;          ///< "the 10% most frequently appearing terms"
-  Duration broker_discard_time = 10 * kMinute;  ///< "a discard time of 10 minutes"
-  bool publish_to_brokers = true;
 
   search::StoppingHeuristic stopping;  ///< eq. 4 constants
   std::size_t search_group_size = 1;   ///< m peers contacted in parallel
@@ -38,6 +34,15 @@ struct NodeConfig {
   /// Query hot path (docs/SEARCH.md): the term→candidate-peers cache kept
   /// warm by gossiped filter diffs, plus the batched/parallel probe kernel.
   search::CandidateCacheConfig candidate_cache;
+};
+
+struct NodeConfig : PeerConfig {
+  /// Brokerage publication policy used by PFS (§6): publish each document's
+  /// snippet under its most frequent terms so searchers find it before the
+  /// new Bloom filter has diffused.
+  double broker_top_fraction = 0.10;          ///< "the 10% most frequently appearing terms"
+  Duration broker_discard_time = 10 * kMinute;  ///< "a discard time of 10 minutes"
+  bool publish_to_brokers = true;
 
   /// Connectivity class advertised in the directory; slow (modem) peers are
   /// avoided by bandwidth-aware gossiping and prefer proxy search (§7.2).

@@ -11,17 +11,15 @@
 
 #include "broker/snippet_store.hpp"
 #include "core/config.hpp"
-#include "gossip/protocol.hpp"
-#include "index/data_store.hpp"
-#include "search/candidate_cache.hpp"
-#include "search/distributed.hpp"
+#include "core/peer.hpp"
 
 /// \file node.hpp
-/// The public face of a PlanetP peer: publish XML documents, search the
-/// community exhaustively or by TFxIPF ranking, and register persistent
-/// queries. A Node owns its local data store, Bloom filter and gossip
-/// protocol instance; a Community (in-process) or the live TCP runtime
-/// moves its messages.
+/// The public face of an in-process PlanetP peer: publish XML documents,
+/// search the community exhaustively or by TFxIPF ranking, and register
+/// persistent queries. A Node is a core::Peer (data store, Bloom filter,
+/// gossip protocol, candidate cache) driven over a Community's in-process
+/// transport, plus persistent queries, rendezvous, proxy search and broker
+/// snippets.
 
 namespace planetp::core {
 
@@ -49,9 +47,11 @@ struct ExhaustiveResult {
 
 class Node {
  public:
+  /// Joins the gossip layer under the in-process address "mem://<id>"; the
+  /// community then spreads the record.
   Node(PeerId id, NodeConfig config, Community* community);
 
-  PeerId id() const { return id_; }
+  PeerId id() const { return peer_.id(); }
 
   // ------------------------------------------------------------------
   // Publishing
@@ -130,12 +130,12 @@ class Node {
   // Introspection / internal wiring
   // ------------------------------------------------------------------
 
-  index::DataStore& store() { return store_; }
-  const index::DataStore& store() const { return store_; }
-  gossip::Protocol& protocol() { return protocol_; }
+  index::DataStore& store() { return peer_.store(); }
+  const index::DataStore& store() const { return peer_.store(); }
+  gossip::Protocol& protocol() { return peer_.protocol(); }
   /// This node's dissemination counters (docs/PROTOCOL.md "Lazy
   /// dissemination"): payload pushes vs. duplicates, digests, served wants.
-  const gossip::GossipStats& gossip_stats() const { return protocol_.stats(); }
+  const gossip::GossipStats& gossip_stats() const { return peer_.protocol().stats(); }
   const NodeConfig& config() const { return config_; }
   Community* community() { return community_; }
 
@@ -151,31 +151,19 @@ class Node {
   /// arrives: re-evaluates persistent queries against that peer.
   void on_directory_update(PeerId origin);
 
-  /// Gossip-layer hook: a strictly newer rumor for \p payload.origin was
-  /// applied. Keeps the candidate cache warm through
-  /// CandidateCache::apply_update — XOR filter diffs merge in the wire
-  /// domain (only cached terms whose bits the diff touches are fixed),
-  /// rejoin version bumps are recorded without re-decoding, and anything
-  /// else drops the stale filter for lazy re-decode by filter_of.
-  void on_rumor_applied(const gossip::RumorPayload& payload);
-
-  /// Gossip-layer hook: \p peer expired from the directory (T_dead).
-  void on_peer_expired(PeerId peer);
-
   /// Called by the community when a broker snippet is published whose keys
   /// cover one of our persistent queries.
   void on_broker_snippet(const broker::Snippet& snippet);
 
   /// Decoded Bloom filter of a peer as recorded in our directory (nullptr
-  /// when unknown). The cache stores the record's Golomb wire bytes at rest,
-  /// keyed by the record version, and decodes on demand; the returned
-  /// shared_ptr pins the decoded filter across any LRU eviction
-  /// (candidate_cache.max_decoded_bytes) that happens underneath.
-  std::shared_ptr<const bloom::BloomFilter> filter_of(PeerId peer) const;
+  /// when unknown); see Peer::filter_of.
+  std::shared_ptr<const bloom::BloomFilter> filter_of(PeerId peer) const {
+    return peer_.filter_of(peer);
+  }
 
   /// The query hot-path cache (stats/introspection; tests and benches).
-  search::CandidateCache& candidate_cache() { return filter_cache_; }
-  const search::CandidateCache& candidate_cache() const { return filter_cache_; }
+  search::CandidateCache& candidate_cache() { return peer_.candidate_cache(); }
+  const search::CandidateCache& candidate_cache() const { return peer_.candidate_cache(); }
 
  private:
   struct PersistentQuery {
@@ -193,34 +181,22 @@ class Node {
     std::unordered_set<DocumentId, index::DocumentIdHash> seen;
   };
 
-  /// Push the current filter state into the gossip protocol (diff + full).
-  void announce_filter_change(std::uint32_t new_keys);
+  /// The community's clock (0 without one).
+  TimePoint now() const;
 
-  /// Candidate peers whose filters contain every term.
-  std::vector<PeerId> candidates_for(const std::vector<std::string>& terms) const;
-
-  /// Own Bloom filter, projected from the counting filter once per
-  /// store_.filter_version() and kept in the candidate cache (so the self
-  /// row of a ranked search resolves through warm entries too).
-  const bloom::BloomFilter* own_filter() const;
+  /// A store change was rumored: kInstant communities apply it everywhere.
+  void record_changed();
 
   void run_persistent_query_against(PersistentQuery& q, PeerId target);
 
-  PeerId id_;
   NodeConfig config_;
   Community* community_;
-  index::DataStore store_;
-  gossip::Protocol protocol_;
-  bloom::BloomFilter last_announced_;  ///< diff base for filter-change rumors
+  Peer peer_;  ///< declared after config_, which it references
   std::uint64_t next_query_handle_ = 1;
   std::uint64_t next_snippet_id_ = 1;
   std::unordered_map<DocumentId, std::uint64_t, index::DocumentIdHash> doc_snippets_;
   std::map<std::uint64_t, Rendezvous> rendezvous_;
   std::map<std::uint64_t, PersistentQuery> persistent_queries_;
-  /// Decoded-filter store + term→candidate cache + probe kernel (the query
-  /// hot path). mutable: filter_of/own_filter fill it lazily from const
-  /// accessors; the cache itself is internally synchronized.
-  mutable search::CandidateCache filter_cache_;
 };
 
 }  // namespace planetp::core

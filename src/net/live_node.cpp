@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <limits>
 
-#include "bloom/wire.hpp"
+#include "broker/hash_ring.hpp"
 #include "gossip/messages.hpp"
 #include "index/persistence.hpp"
 #include "index/xml.hpp"
-#include "search/ranker.hpp"
 #include "util/logging.hpp"
 
 namespace planetp::net {
@@ -15,26 +14,10 @@ namespace planetp::net {
 using gossip::PeerId;
 
 LiveNode::LiveNode(PeerId id, LiveNodeConfig config, std::uint16_t port)
-    : id_(id),
-      config_(config),
-      reactor_(config.reactor),
-      store_(id, config.bloom, config.analyzer),
-      protocol_(id, config.gossip, Rng(0x11fe00d ^ id)),
-      last_announced_(config.bloom),
-      filter_cache_(config.candidate_cache) {
+    : config_(std::move(config)),
+      reactor_(config_.reactor),
+      peer_(id, config_, Rng(0x11fe00d ^ id)) {
   reactor_.listen(port);
-  // Keep the candidate cache warm from the gossip stream (the same
-  // maintenance path as core::Node). Both hooks fire under mu_.
-  protocol_.hooks().on_apply = [this](const gossip::RumorPayload& payload, TimePoint) {
-    if (payload.origin == id_) return;
-    // A rejoin re-announces unchanged content.
-    const gossip::FilterUpdate* fu = payload.filter ? &*payload.filter : nullptr;
-    filter_cache_.apply_update(payload.origin, payload.version,
-                               fu != nullptr && payload.kind != gossip::EventKind::kRejoin,
-                               fu != nullptr ? fu->base_version : 0,
-                               fu != nullptr ? fu->bits : std::span<const std::uint8_t>{});
-  };
-  protocol_.hooks().on_expire = [this](PeerId peer) { filter_cache_.remove_peer(peer); };
 }
 
 LiveNode::~LiveNode() { stop(); }
@@ -56,29 +39,30 @@ void LiveNode::start() {
   Duration first = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ByteWriter w;
-    bloom::encode_filter(w, store_.bloom_filter());
-    const auto key_count = static_cast<std::uint32_t>(store_.num_terms());
+    gossip::Protocol& protocol = peer_.protocol();
+    gossip::PeerRecord self = peer_.join_record(address(), gossip::LinkClass::kFast);
     if (bootstrap_requested_) {
       // Converged start: install everyone quietly, no join rumor. When the
       // seeded records carried a version for ourselves (restart keeping the
       // directory) resume from it so peers' stale records lose to ours.
-      protocol_.quiet_start(address(), gossip::LinkClass::kFast, key_count, w.take());
-      protocol_.bootstrap(bootstrap_records_);
+      protocol.quiet_start(std::move(self.address), self.link_class, self.key_count,
+                           std::move(self.filter_wire));
+      protocol.bootstrap(bootstrap_records_);
       if (bootstrap_self_version_ > 1) {
-        if (const gossip::PeerRecord* self = protocol_.directory().find(id_)) {
-          gossip::PeerRecord resumed = *self;
+        if (const gossip::PeerRecord* own = protocol.directory().find(id())) {
+          gossip::PeerRecord resumed = *own;
           resumed.version = bootstrap_self_version_;
-          protocol_.directory().put_self(std::move(resumed));
+          protocol.directory().put_self(std::move(resumed));
         }
       }
       bootstrap_records_.clear();
     } else {
-      protocol_.local_join(address(), gossip::LinkClass::kFast, key_count, w.take(), 0);
+      protocol.local_join(std::move(self.address), self.link_class, self.key_count,
+                          std::move(self.filter_wire), 0);
     }
     // Under mu_: the reactor is already delivering frames, and a received
     // rumor resets the interval.
-    first = protocol_.current_interval();
+    first = protocol.current_interval();
   }
   {
     std::lock_guard<std::mutex> lock(jitter_mu_);
@@ -92,33 +76,21 @@ void LiveNode::bootstrap_converged(std::vector<gossip::PeerRecord> records) {
   std::lock_guard<std::mutex> lock(mu_);
   bootstrap_self_version_ = 0;
   for (const gossip::PeerRecord& r : records) {
-    if (r.id == id_) bootstrap_self_version_ = r.version;
+    if (r.id == id()) bootstrap_self_version_ = r.version;
   }
   bootstrap_records_ = std::move(records);
   bootstrap_requested_ = true;
 }
 
-gossip::PeerRecord LiveNode::bootstrap_record(bool include_filter) const {
+gossip::PeerRecord LiveNode::bootstrap_record() const {
   std::lock_guard<std::mutex> lock(mu_);
-  gossip::PeerRecord r;
-  r.id = id_;
-  r.address = reactor_.address();
-  r.link_class = gossip::LinkClass::kFast;
-  r.version = 1;
-  r.online = true;
-  r.key_count = static_cast<std::uint32_t>(store_.num_terms());
-  if (include_filter && r.key_count > 0) {
-    ByteWriter w;
-    bloom::encode_filter(w, store_.bloom_filter());
-    r.filter_wire = w.take();
-  }
-  return r;
+  return peer_.join_record(reactor_.address(), gossip::LinkClass::kFast);
 }
 
 void LiveNode::announce_rejoin() {
   std::lock_guard<std::mutex> lock(mu_);
   // Bumps our version and rumors presence; the rumor rides the next round.
-  protocol_.local_rejoin(steady_micros());
+  peer_.protocol().local_rejoin(steady_micros());
 }
 
 void LiveNode::stop() {
@@ -137,8 +109,8 @@ void LiveNode::join(PeerId introducer, const std::string& introducer_address) {
     seed.id = introducer;
     seed.address = introducer_address;
     seed.version = 0;
-    protocol_.directory().apply(seed);
-    out.push_back(protocol_.join_via(introducer, steady_micros()));
+    peer_.protocol().directory().apply(seed);
+    out.push_back(peer_.protocol().join_via(introducer, steady_micros()));
   }
   send_outgoing(std::move(out));
 }
@@ -166,8 +138,8 @@ void LiveNode::gossip_round() {
   Duration next;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    out = protocol_.on_round(steady_micros());
-    next = protocol_.current_interval();
+    out = peer_.protocol().on_round(steady_micros());
+    next = peer_.protocol().current_interval();
   }
   send_outgoing(std::move(out));
   {
@@ -186,26 +158,23 @@ NetStats LiveNode::net_stats() const {
   NetStats s = reactor_.stats();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    s.gossip = protocol_.stats();
+    s.gossip = peer_.protocol().stats();
   }
   return s;
 }
 
 std::string LiveNode::address_of(PeerId peer) const {
-  const gossip::PeerRecord* record = protocol_.directory().find(peer);
+  std::lock_guard<std::mutex> lock(mu_);
+  const gossip::PeerRecord* record = peer_.protocol().directory().find(peer);
   return record == nullptr ? std::string{} : record->address;
 }
 
 void LiveNode::send_outgoing(std::vector<gossip::Protocol::Outgoing> batch) {
   for (auto& out : batch) {
-    std::string addr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      addr = address_of(out.to);
-    }
+    const std::string addr = address_of(out.to);
     if (addr.empty()) continue;
     Frame frame;
-    frame.sender = id_;
+    frame.sender = id();
     frame.channel = Channel::kGossip;
     frame.payload = gossip::encode_message(out.msg);
     // Pull responses answer an explicit request (anti-entropy pull or a lazy
@@ -221,7 +190,7 @@ void LiveNode::send_outgoing(std::vector<gossip::Protocol::Outgoing> batch) {
       // applied to real frames. Drops are silent wire loss; delayed and
       // duplicate copies ride the reactor's timer heap.
       const sim::FaultDecision fault = config_.faults->decide(
-          id_, out.to, steady_micros() - fault_origin_, sim::msg_class_of(out.msg));
+          id(), out.to, steady_micros() - fault_origin_, sim::msg_class_of(out.msg));
       if (fault.drop) continue;
       for (const Duration lag : fault.duplicate_lags) {
         reactor_.schedule(fault.extra_delay + std::max<Duration>(lag, 1),
@@ -244,7 +213,7 @@ void LiveNode::on_frame(const Frame& frame) {
     try {
       const gossip::Message msg = gossip::decode_message(frame.payload);
       std::lock_guard<std::mutex> lock(mu_);
-      replies = protocol_.on_message(steady_micros(), frame.sender, msg);
+      replies = peer_.protocol().on_message(steady_micros(), frame.sender, msg);
     } catch (const std::exception& e) {
       PLOG_WARN("net", "bad gossip frame from ", frame.sender, ": ", e.what());
       return;
@@ -262,12 +231,16 @@ void LiveNode::on_frame(const Frame& frame) {
 void LiveNode::on_send_failure(const std::string& address) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    // Identify which peer the address belongs to and mark it offline (§3).
+    // Identify which peer the address belongs to and mark it offline (§3),
+    // stamped on the clock gossip_round expires against: T_dead runs from
+    // this failure, not from the clock's epoch.
     PeerId failed = gossip::kInvalidPeer;
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
+    peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
       if (r.address == address) failed = r.id;
     });
-    if (failed != gossip::kInvalidPeer) protocol_.on_send_failed(failed, 0);
+    if (failed != gossip::kInvalidPeer) {
+      peer_.protocol().on_send_failed(failed, steady_micros());
+    }
   }
   // Fail any synchronous RPC waiting on this address now rather than letting
   // it burn the full rpc_timeout against a dead socket.
@@ -288,32 +261,9 @@ void LiveNode::on_send_failure(const std::string& address) {
 // Publishing
 // ---------------------------------------------------------------------------
 
-void LiveNode::announce_filter_change(std::uint32_t new_keys) {
-  std::vector<gossip::Protocol::Outgoing> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const bloom::BloomFilter current = store_.bloom_filter();
-    ByteWriter diff_writer;
-    bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
-    ByteWriter full_writer;
-    bloom::encode_filter(full_writer, current);
-    protocol_.local_filter_change(static_cast<std::uint32_t>(store_.num_terms()),
-                                  new_keys, diff_writer.take(), full_writer.take(), 0);
-    last_announced_ = current;
-  }
-}
-
 index::DocumentId LiveNode::publish(std::string xml) {
-  index::DocumentId doc;
-  std::size_t before, after;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    before = store_.num_terms();
-    doc = store_.publish(std::move(xml));
-    after = store_.num_terms();
-  }
-  announce_filter_change(static_cast<std::uint32_t>(after - before));
-  return doc;
+  std::lock_guard<std::mutex> lock(mu_);
+  return peer_.publish(std::move(xml), steady_micros());
 }
 
 index::DocumentId LiveNode::publish_text(std::string_view title, std::string_view body) {
@@ -325,14 +275,10 @@ index::DocumentId LiveNode::publish_text(std::string_view title, std::string_vie
 // ---------------------------------------------------------------------------
 
 void LiveNode::reply_rpc(std::uint32_t peer, const RpcMessage& msg) {
-  std::string addr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    addr = address_of(peer);
-  }
+  const std::string addr = address_of(peer);
   if (addr.empty()) return;
   Frame frame;
-  frame.sender = id_;
+  frame.sender = id();
   frame.channel = Channel::kRpc;
   frame.payload = encode_rpc(msg);
   reactor_.send(addr, std::move(frame), SendClass::kRpc);
@@ -346,11 +292,11 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     for (const WeightedTerm& t : req->weights) weights.emplace(t.term, t.weight);
     // Rank the searcher's top k lock-free against the published epoch
     // snapshot; mu_ is only taken afterwards for the title lookups.
-    const auto scored = search::top_k(*store_.snapshot(), weights, req->k);
+    const auto scored = peer_.rank(weights, req->k);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : scored) {
-        const index::Document* doc = store_.document(d.doc);
+        const index::Document* doc = peer_.store().document(d.doc);
         resp.docs.push_back(
             RemoteDoc{d.doc.peer, d.doc.local, d.score, doc != nullptr ? doc->title : ""});
       }
@@ -363,8 +309,8 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     resp.request_id = req->request_id;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const index::DocumentId& d : store_.search_all_terms(req->query)) {
-        const index::Document* doc = store_.document(d);
+      for (const index::DocumentId& d : peer_.store().search_all_terms(req->query)) {
+        const index::Document* doc = peer_.store().document(d);
         resp.docs.push_back(
             RemoteDoc{d.peer, d.local, 0.0, doc != nullptr ? doc->title : ""});
       }
@@ -376,7 +322,8 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     FetchResponse resp;
     resp.request_id = req->request_id;
     std::unique_lock<std::mutex> lock(mu_);
-    const index::Document* doc = store_.document(index::DocumentId{req->peer, req->local});
+    const index::Document* doc =
+        peer_.store().document(index::DocumentId{req->peer, req->local});
     if (doc != nullptr) {
       resp.found = true;
       resp.title = doc->title;
@@ -410,7 +357,7 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& key : local.keys) {
       const auto replicas = broker_replicas_for(key);
-      if (std::find(replicas.begin(), replicas.end(), id_) != replicas.end()) {
+      if (std::find(replicas.begin(), replicas.end(), id()) != replicas.end()) {
         broker_store_.put(key, local);
       }
     }
@@ -448,16 +395,12 @@ std::optional<RpcMessage> LiveNode::call(PeerId peer, RpcMessage request,
     if (status != nullptr) *status = s;
     return std::nullopt;
   };
-  std::string addr;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    addr = address_of(peer);
-  }
+  const std::string addr = address_of(peer);
   if (addr.empty()) return fail(search::ContactStatus::kUnreachable);
 
   const std::uint64_t request_id = rpc_request_id(request);
   Frame frame;
-  frame.sender = id_;
+  frame.sender = id();
   frame.channel = Channel::kRpc;
   frame.payload = encode_rpc(request);
   {
@@ -488,60 +431,33 @@ std::optional<RpcMessage> LiveNode::call(PeerId peer, RpcMessage request,
   return std::move(node.mapped());
 }
 
-std::shared_ptr<const bloom::BloomFilter> LiveNode::cached_filter(
-    const gossip::PeerRecord& record) {
-  if (auto cached = filter_cache_.version_of(record.id);
-      !cached.has_value() || *cached != record.version) {
-    // At rest in the cache as the record's compressed wire; decoded on
-    // demand below, bounded by candidate_cache.max_decoded_bytes.
-    filter_cache_.update_peer_wire(record.id, record.filter_wire, record.version);
-  }
-  return filter_cache_.resident_filter(record.id);
-}
-
-std::shared_ptr<const bloom::BloomFilter> LiveNode::own_filter() {
-  // Cache versions are non-zero; the store's version starts at 0.
-  const std::uint64_t version = store_.filter_version() + 1;
-  if (auto cached = filter_cache_.version_of(id_); !cached.has_value() || *cached != version) {
-    filter_cache_.update_peer(id_, std::make_shared<bloom::BloomFilter>(store_.bloom_filter()),
-                              version);
-  }
-  return filter_cache_.filter_of(id_);
-}
-
 std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t k) {
   std::vector<std::string> terms;
-  std::vector<search::PeerFilter> views;
-  // Shared ownership pins the view's filters: a concurrent gossip update
-  // swaps the cache's copy (copy-on-write) without invalidating this query.
-  std::vector<std::shared_ptr<const bloom::BloomFilter>> pinned;
+  core::Peer::SearchView view;
+  search::DistributedSearchOptions opts;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    terms = store_.analyzer().analyze(query);
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-      if (r.id == id_ || !r.online || r.filter_wire.empty()) return;
-      auto f = cached_filter(r);
-      if (f == nullptr) return;
-      views.push_back(search::PeerFilter{r.id, f.get(), r.suspicion});
-      pinned.push_back(std::move(f));
-    });
-    auto own = own_filter();
-    views.push_back(search::PeerFilter{id_, own.get()});
-    pinned.push_back(std::move(own));
+    terms = peer_.store().analyzer().analyze(query);
+    view = peer_.search_view();
+    opts = peer_.search_options(k, 0x5ea2c4u ^ id());
   }
   if (terms.empty()) return {};
+  opts.clock = [] { return steady_micros(); };
+  opts.sleep = [](Duration d) {
+    if (d > 0) std::this_thread::sleep_for(std::chrono::microseconds(d));
+  };
 
   std::unordered_map<index::DocumentId, std::string, index::DocumentIdHash> titles;
   const auto contact = [&](std::uint32_t peer,
                            const std::unordered_map<std::string, double>& weights)
       -> search::PeerSearchResult {
-    if (peer == id_) {
+    if (peer == id()) {
       // Self-evaluation ranks lock-free against the epoch snapshot; mu_
       // guards only the title map.
-      auto docs = search::top_k(*store_.snapshot(), weights, k);
+      auto docs = peer_.rank(weights, k);
       std::lock_guard<std::mutex> lock(mu_);
       for (const auto& d : docs) {
-        const index::Document* doc = store_.document(d.doc);
+        const index::Document* doc = peer_.store().document(d.doc);
         if (doc != nullptr) titles[d.doc] = doc->title;
       }
       return search::PeerSearchResult::ok(std::move(docs));
@@ -577,25 +493,10 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
     return search::PeerSearchResult::failure(search::ContactStatus::kError, latency);
   };
 
-  search::DistributedSearchOptions opts;
-  opts.k = k;
-  opts.group_size = config_.search_group_size;
-  opts.stopping = config_.stopping;
-  opts.retry = config_.search_retry;
-  opts.deadline = config_.search_deadline;
-  opts.hedge_threshold = config_.search_hedge_threshold;
-  opts.seed = 0x5ea2c4u ^ id_;
-  opts.cache = &filter_cache_;
-  opts.clock = [] { return steady_micros(); };
-  opts.sleep = [](Duration d) {
-    if (d > 0) std::this_thread::sleep_for(std::chrono::microseconds(d));
-  };
-  const auto result = search::tfipf_search(terms, views, contact, opts);
-
-  // SUSPECT feedback: repeated query failures demote a peer in future
-  // rankings and eventually mark it offline locally.
-  for (const search::PeerOutcome& outcome : result.outcomes) {
-    note_contact_outcome(outcome.peer, outcome.status == search::ContactStatus::kOk);
+  const auto result = search::tfipf_search(terms, view.peers, contact, opts);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    peer_.record_outcomes(result.outcomes, steady_micros());
   }
 
   std::vector<LiveHit> hits;
@@ -611,25 +512,16 @@ std::vector<LiveHit> LiveNode::exhaustive_search(std::string_view query) {
   std::vector<LiveHit> hits;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    terms = store_.analyzer().analyze(query);
+    terms = peer_.store().analyzer().analyze(query);
     if (terms.empty()) return {};
-    for (const index::DocumentId& d : store_.search_all_terms(query)) {
-      const index::Document* doc = store_.document(d);
+    for (const index::DocumentId& d : peer_.store().search_all_terms(query)) {
+      const index::Document* doc = peer_.store().document(d);
       hits.push_back(LiveHit{d.peer, d.local, 0.0, doc != nullptr ? doc->title : ""});
     }
-    // Hash once per query, probe cached filters (no per-query decode).
-    std::vector<HashPair> hashes;
-    hashes.reserve(terms.size());
-    for (const std::string& t : terms) hashes.push_back(hash_pair(t));
-    protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-      if (r.id == id_ || !r.online || r.filter_wire.empty()) return;
-      const auto f = cached_filter(r);
-      if (f == nullptr) return;
-      for (const HashPair& hp : hashes) {
-        if (!f->contains(hp)) return;
-      }
-      candidates.push_back(r.id);
-    });
+    for (const PeerId peer : peer_.candidates_for(terms)) {
+      const gossip::PeerRecord* r = peer_.protocol().directory().find(peer);
+      if (r != nullptr && r->online) candidates.push_back(peer);
+    }
   }
   for (PeerId peer : candidates) {
     ExhaustiveRequest req;
@@ -656,9 +548,9 @@ std::optional<std::string> LiveNode::fetch_document(std::uint32_t peer, std::uin
 
 std::optional<std::string> LiveNode::fetch_document(
     std::uint32_t peer, std::uint32_t local, const std::vector<gossip::PeerId>& alternates) {
-  if (peer == id_) {
+  if (peer == id()) {
     std::lock_guard<std::mutex> lock(mu_);
-    const index::Document* doc = store_.document(index::DocumentId{peer, local});
+    const index::Document* doc = peer_.store().document(index::DocumentId{peer, local});
     if (doc == nullptr) return std::nullopt;
     return doc->xml_source;
   }
@@ -668,11 +560,11 @@ std::optional<std::string> LiveNode::fetch_document(
   // the publisher is gone.
   std::vector<gossip::PeerId> targets{peer};
   for (const gossip::PeerId alt : alternates) {
-    if (alt != id_ && std::find(targets.begin(), targets.end(), alt) == targets.end()) {
+    if (alt != id() && std::find(targets.begin(), targets.end(), alt) == targets.end()) {
       targets.push_back(alt);
     }
   }
-  Rng rng(0xfe7c4u ^ id_ ^ (static_cast<std::uint64_t>(peer) << 32 | local));
+  Rng rng(0xfe7c4u ^ id() ^ (static_cast<std::uint64_t>(peer) << 32 | local));
   for (std::size_t t = 0; t < targets.size(); ++t) {
     const gossip::PeerId target = targets[t];
     const std::uint32_t attempts =
@@ -709,48 +601,34 @@ std::optional<std::string> LiveNode::fetch_document(
 
 std::size_t LiveNode::known_peers() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return protocol_.directory().size();
+  return peer_.protocol().directory().size();
 }
 
 // ---------------------------------------------------------------------------
 // Information brokerage over the live community
 // ---------------------------------------------------------------------------
 
-gossip::PeerId LiveNode::broker_for(const std::string& key) const {
+std::vector<gossip::PeerId> LiveNode::broker_replicas_for(const std::string& key) const {
   // Build the ring from the current membership view. Every online member is
   // a broker ("each active member chooses a unique broker ID", §4); all
   // peers derive ids the same way, so their rings agree once the directory
   // converges.
   broker::HashRing ring;
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-    if (r.online || r.id == id_) ring.add_by_hash(r.id);
-  });
-  const auto owner = ring.responsible_for(key);
-  return owner.value_or(gossip::kInvalidPeer);
-}
-
-std::vector<gossip::PeerId> LiveNode::broker_replicas_for(const std::string& key) const {
-  broker::HashRing ring;
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
-    if (r.online || r.id == id_) ring.add_by_hash(r.id);
+  peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
+    if (r.online || r.id == id()) ring.add_by_hash(r.id);
   });
   return ring.replicas_for(key, std::max<std::size_t>(1, config_.broker_replication));
 }
 
 void LiveNode::note_contact_outcome(PeerId peer, bool ok) {
-  if (peer == id_) return;
   std::lock_guard<std::mutex> lock(mu_);
-  if (ok) {
-    protocol_.directory().record_query_success(peer);
-  } else {
-    protocol_.directory().record_query_failure(peer, steady_micros());
-  }
+  peer_.record_contact(peer, ok, steady_micros());
 }
 
 std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string> keys,
                                         Duration ttl) {
   WireSnippet snippet;
-  snippet.publisher = id_;
+  snippet.publisher = id();
   snippet.xml = std::move(xml);
   snippet.keys = std::move(keys);
   snippet.ttl_us = ttl;
@@ -766,12 +644,12 @@ std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string
     std::lock_guard<std::mutex> lock(mu_);
     for (const std::string& key : snippet.keys) {
       auto replicas = broker_replicas_for(key);
-      if (replicas.empty()) replicas.push_back(id_);  // empty directory: keep it ourselves
+      if (replicas.empty()) replicas.push_back(id());  // empty directory: keep it ourselves
       for (const gossip::PeerId owner : replicas) {
-        if (owner == id_) {
+        if (owner == id()) {
           broker::Snippet local;
           local.id = snippet.snippet_id;
-          local.publisher = id_;
+          local.publisher = id();
           local.xml = snippet.xml;
           local.keys = snippet.keys;
           local.discard_at = steady_micros() + ttl;
@@ -786,16 +664,12 @@ std::uint64_t LiveNode::publish_snippet(std::string xml, std::vector<std::string
   // One StoreSnippetRequest per distinct remote replica: the receiver keeps
   // the keys it is responsible for and ignores the rest.
   for (const gossip::PeerId owner : remote_targets) {
-    std::string addr;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      addr = address_of(owner);
-    }
+    const std::string addr = address_of(owner);
     if (addr.empty()) continue;
     StoreSnippetRequest req;
     req.snippet = snippet;
     Frame frame;
-    frame.sender = id_;
+    frame.sender = id();
     frame.channel = Channel::kRpc;
     frame.payload = encode_rpc(req);
     reactor_.send(addr, std::move(frame), SendClass::kRpc);
@@ -811,9 +685,9 @@ std::vector<WireSnippet> LiveNode::lookup_snippets(const std::string& key) {
     std::lock_guard<std::mutex> lock(mu_);
     replicas = broker_replicas_for(key);
   }
-  if (replicas.empty()) replicas.push_back(id_);
+  if (replicas.empty()) replicas.push_back(id());
   for (const gossip::PeerId owner : replicas) {
-    if (owner == id_) {
+    if (owner == id()) {
       std::lock_guard<std::mutex> lock(mu_);
       std::vector<WireSnippet> out;
       const TimePoint now = steady_micros();
@@ -860,7 +734,7 @@ void LiveNode::sweep_broker_store() {
 std::vector<LiveNode::PeerInfo> LiveNode::directory_snapshot() const {
   std::vector<PeerInfo> out;
   std::lock_guard<std::mutex> lock(mu_);
-  protocol_.directory().for_each([&](const gossip::PeerRecord& r) {
+  peer_.protocol().directory().for_each([&](const gossip::PeerRecord& r) {
     out.push_back(PeerInfo{r.id, r.address, r.version, r.online, r.key_count});
   });
   std::sort(out.begin(), out.end(),
@@ -870,7 +744,7 @@ std::vector<LiveNode::PeerInfo> LiveNode::directory_snapshot() const {
 
 std::vector<std::uint8_t> LiveNode::serialize_store() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index::serialize_data_store(store_);
+  return index::serialize_data_store(peer_.store());
 }
 
 bool LiveNode::wait_for_peers(std::size_t n, Duration timeout) {
@@ -887,7 +761,7 @@ bool LiveNode::wait_for_version(PeerId peer, std::uint64_t version, Duration tim
   while (std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      const gossip::PeerRecord* r = protocol_.directory().find(peer);
+      const gossip::PeerRecord* r = peer_.protocol().directory().find(peer);
       if (r != nullptr && r->version >= version) return true;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

@@ -9,43 +9,25 @@
 #include <unordered_map>
 #include <vector>
 
-#include "broker/hash_ring.hpp"
 #include "broker/snippet_store.hpp"
-#include "gossip/protocol.hpp"
-#include "index/data_store.hpp"
+#include "core/config.hpp"
+#include "core/peer.hpp"
 #include "net/reactor.hpp"
 #include "net/rpc.hpp"
-#include "search/candidate_cache.hpp"
-#include "search/distributed.hpp"
 #include "sim/faults.hpp"
 
 /// \file live_node.hpp
-/// A PlanetP peer running over real TCP sockets: the same gossip::Protocol
-/// the simulator drives, plus the RPC channel for ranked/exhaustive search
-/// and document fetch. This is the live counterpart of the paper's Java
-/// prototype, runnable on loopback or a LAN.
+/// A PlanetP peer running over real TCP sockets: the same core::Peer (store,
+/// gossip::Protocol, candidate cache) an in-process core::Node drives, plus
+/// the reactor and the RPC channel for ranked/exhaustive search and document
+/// fetch. This is the live counterpart of the paper's Java prototype,
+/// runnable on loopback or a LAN.
 
 namespace planetp::net {
 
-struct LiveNodeConfig {
-  bloom::BloomParams bloom;
-  text::AnalyzerOptions analyzer;
-  gossip::GossipConfig gossip;          ///< use short intervals for local tests
+struct LiveNodeConfig : core::PeerConfig {
   ReactorConfig reactor;                ///< transport caps, backoff, idle reaping
   Duration rpc_timeout = 3 * kSecond;
-  search::StoppingHeuristic stopping;
-  std::size_t search_group_size = 1;
-
-  /// Failure-aware retrieval knobs (docs/SEARCH.md); defaults reproduce the
-  /// failure-oblivious behaviour on a healthy community.
-  search::RetryPolicy search_retry;     ///< per-peer retry budget for query RPCs
-  Duration search_deadline = 0;         ///< whole-query wall-clock budget; 0 = unlimited
-  Duration search_hedge_threshold = 0;  ///< hedge contacts slower than this; 0 = off
-
-  /// Query hot path (docs/SEARCH.md): decoded-filter store + term→candidate
-  /// cache kept warm by gossiped XOR diffs. Replaces the old per-query
-  /// decode of every directory filter.
-  search::CandidateCacheConfig candidate_cache;
 
   /// Brokers per key: the owner plus this many minus one ring successors.
   /// 1 is the paper's unreplicated brokerage; > 1 survives broker failure
@@ -81,7 +63,7 @@ class LiveNode {
   void start();
   void stop();
 
-  gossip::PeerId id() const { return id_; }
+  gossip::PeerId id() const { return peer_.id(); }
   std::string address() const { return reactor_.address(); }
 
   /// Bootstrap into an existing community through one known member.
@@ -98,11 +80,9 @@ class LiveNode {
   void announce_rejoin();
 
   /// This node's own directory record as another node would bootstrap it
-  /// (version 1, online, current key count). The filter wire is included only
-  /// when requested and non-empty — at 1000 nodes, replicating every filter
-  /// into every bootstrap set is O(N²) memory for nothing when most nodes
-  /// publish no documents.
-  gossip::PeerRecord bootstrap_record(bool include_filter = true) const;
+  /// (core::Peer::join_record: version 1, online, current key count and
+  /// encoded filter).
+  gossip::PeerRecord bootstrap_record() const;
 
   /// Publish a plain-text document (wrapped in the XML envelope).
   index::DocumentId publish_text(std::string_view title, std::string_view body);
@@ -169,7 +149,7 @@ class LiveNode {
   bool wait_for_version(gossip::PeerId peer, std::uint64_t version, Duration timeout);
 
   /// The query hot-path cache (stats/introspection; tests and benches).
-  const search::CandidateCache& candidate_cache() const { return filter_cache_; }
+  const search::CandidateCache& candidate_cache() const { return peer_.candidate_cache(); }
 
   /// Transport counters (docs/NET.md "NetStats"): this node's reactor
   /// snapshot with the gossip protocol's dissemination counters merged in
@@ -196,36 +176,25 @@ class LiveNode {
   /// backoff, frame dropped) instead of burning the full rpc_timeout.
   std::optional<RpcMessage> call(gossip::PeerId peer, RpcMessage request,
                                  search::ContactStatus* status = nullptr);
+  /// \p peer's address in our directory, empty when unknown (takes mu_).
   std::string address_of(gossip::PeerId peer) const;
-  void announce_filter_change(std::uint32_t new_keys);
-  /// Broker responsible for \p key given the current directory (requires
-  /// mu_ held). kInvalidPeer when the directory is empty.
-  gossip::PeerId broker_for(const std::string& key) const;
   /// The key's full replica set — the owner plus broker_replication - 1 ring
   /// successors (requires mu_ held). Empty when the directory is empty.
   std::vector<gossip::PeerId> broker_replicas_for(const std::string& key) const;
   /// Feed a query-RPC outcome into the directory's SUSPECT tracking.
   void note_contact_outcome(gossip::PeerId peer, bool ok);
   void sweep_broker_store();
-  /// \p record's decoded filter via the cache, decoding (and re-warming the
-  /// term entries) only when the cached version is stale. Requires mu_ held.
-  std::shared_ptr<const bloom::BloomFilter> cached_filter(const gossip::PeerRecord& record);
-  /// Own filter, projected once per store_.filter_version(). Requires mu_ held.
-  std::shared_ptr<const bloom::BloomFilter> own_filter();
 
-  gossip::PeerId id_;
   LiveNodeConfig config_;
   Reactor reactor_;
   TimePoint fault_origin_ = 0;  ///< start() time; faults run on node-relative time
 
-  mutable std::mutex mu_;  ///< guards store_, protocol_, filter bookkeeping
-  index::DataStore store_;
-  gossip::Protocol protocol_;
-  bloom::BloomFilter last_announced_;
-  broker::SnippetStore broker_store_;  ///< this node's broker role (guarded by mu_)
-  /// Internally synchronized; maintained by the gossip on_apply/on_expire
-  /// hooks (which run under mu_) and read by the query paths.
-  search::CandidateCache filter_cache_;
+  /// Guards peer_ and broker_store_. Peer::rank runs without it (it reads
+  /// the published epoch snapshot), and it is never held across a remote
+  /// contact: the callee's handle_rpc takes its own mu_.
+  mutable std::mutex mu_;
+  core::Peer peer_;  ///< declared after config_, which it references
+  broker::SnippetStore broker_store_;  ///< this node's broker role
   std::uint64_t next_snippet_id_ = 1;
 
   // Synchronous RPC bookkeeping. Pending calls are keyed by request id and

@@ -372,6 +372,38 @@ TEST(LiveNode, RpcFailsFastWhenPeerCrashes) {
   a.stop();
 }
 
+TEST(LiveNode, SendFailureKeepsPeerUntilTDead) {
+  // §3: a peer that fails a send is marked offline, and only dropped after
+  // T_dead of continuous absence, counted from the failure.
+  LiveNodeConfig cfg = fast_config();
+  cfg.gossip.t_dead = 60 * kSecond;
+  LiveNode a(0, cfg);
+  LiveNode b(1, cfg);
+  a.start();
+  b.start();
+  b.join(0, a.address());
+  ASSERT_TRUE(a.wait_for_peers(2, 20 * kSecond));
+
+  b.stop();
+  const auto b_offline = [&] {
+    for (const auto& info : a.directory_snapshot()) {
+      if (info.id == 1) return !info.online;
+    }
+    return true;  // already dropped
+  };
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!b_offline() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  }
+  ASSERT_TRUE(b_offline());
+  // Every gossip round (100-400 ms here) expires the peers offline for
+  // T_dead; give them two seconds.
+  std::this_thread::sleep_for(std::chrono::seconds(2));
+  EXPECT_EQ(a.known_peers(), 2u) << "b was expired long before T_dead";
+
+  a.stop();
+}
+
 TEST(LiveNode, SerializedStoreRestoresAcrossRestart) {
   std::vector<std::uint8_t> snapshot;
   {
