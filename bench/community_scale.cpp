@@ -24,10 +24,12 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "common/mem_sampler.hpp"
 #include "sim/community.hpp"
 
@@ -134,14 +136,6 @@ double decoded_model_mb(std::size_t peers) {
   return static_cast<double>(peers) * static_cast<double>(peers) * per_record / (1024.0 * 1024.0);
 }
 
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -217,16 +211,11 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     for (const ScaleResult& r : results) {
-      const double rps = parse_key(baseline, "rps_" + std::to_string(r.peers));
+      const double rps = benchutil::parse_key(baseline, "rps_" + std::to_string(r.peers));
       if (rps > 0.0) {
         if (r.rounds_per_sec < rps / 2.0) {
           std::fprintf(stderr, "FAIL: %zu peers: %.0f rounds/s vs baseline %.0f (>2x drop)\n",
@@ -237,7 +226,8 @@ int main(int argc, char** argv) {
                       r.rounds_per_sec, rps);
         }
       }
-      const double hwm = parse_key(baseline, "rss_hwm_mb_" + std::to_string(r.peers));
+      const double hwm =
+          benchutil::parse_key(baseline, "rss_hwm_mb_" + std::to_string(r.peers));
       if (hwm > 0.0 && r.hwm_mb > 0.0) {
         if (r.hwm_mb > hwm * 2.0) {
           std::fprintf(stderr, "FAIL: %zu peers: peak RSS %.0f MB vs baseline %.0f MB (>2x)\n",

@@ -47,10 +47,12 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "sim/community.hpp"
 
 // ---------------------------------------------------------------------------
@@ -289,16 +291,6 @@ void append_mode(std::ostringstream& os, const char* name, const RunResult& r) {
      << ", \"wants_served\": " << r.gossip.wants_served << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 /// Gate 3: lazy pushes nothing blind and a converged community re-delivers
 /// (nearly) nothing. The handful of tolerated duplicates are want/pull races
 /// — two peers serving the same id before either delivery lands.
@@ -444,17 +436,12 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     for (const SizeResult& r : results) {
       const std::string key = "cached_rps_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
+      const double recorded = benchutil::parse_key(baseline, key);
       if (recorded <= 0.0) continue;
       if (r.cached.rounds_per_sec < recorded / 2.0) {
         std::fprintf(stderr,
@@ -469,7 +456,7 @@ int main(int argc, char** argv) {
     }
     for (const SizeResult& r : results) {
       const std::string key = "hybrid_bytes_per_round_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
+      const double recorded = benchutil::parse_key(baseline, key);
       if (recorded <= 0.0) continue;
       if (r.hybrid.bytes_per_round() > recorded * 2.0) {
         std::fprintf(stderr,

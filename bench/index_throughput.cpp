@@ -59,11 +59,13 @@
 #include <cstring>
 #include <fstream>
 #include <new>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "bloom/counting_bloom.hpp"
 #include "index/data_store.hpp"
 #include "index/inverted_index.hpp"
@@ -553,16 +555,6 @@ void append_op(std::ostringstream& os, const char* name, const OpStats& s) {
      << ", \"p99_us\": " << s.p99_us << ", \"allocs_per_op\": " << s.allocs_per_op() << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -667,14 +659,9 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     for (const SizeResult& r : results) {
       const struct {
         const char* what;
@@ -689,7 +676,7 @@ int main(int argc, char** argv) {
            r.pruned_eval_k10.per_sec()},
       };
       for (const auto& c : checks) {
-        const double recorded = parse_key(baseline, c.key);
+        const double recorded = benchutil::parse_key(baseline, c.key);
         if (recorded <= 0.0) continue;
         if (c.measured < recorded / 2.0) {
           std::fprintf(stderr,

@@ -18,11 +18,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "common/mem_sampler.hpp"
 #include "net/cluster.hpp"
 #include "util/stats.hpp"
@@ -123,16 +125,6 @@ void print_result(const RunResult& r) {
       r.rss_mb, r.fd_clean ? "" : "   (FD LEAK)");
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -201,17 +193,12 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     for (const RunResult& r : results) {
       const std::string key = "msgs_per_sec_" + std::to_string(r.nodes);
-      const double recorded = parse_key(baseline, key);
+      const double recorded = benchutil::parse_key(baseline, key);
       if (recorded <= 0.0) continue;
       if (r.msgs_per_sec < recorded / 2.0) {
         std::fprintf(stderr,

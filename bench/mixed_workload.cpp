@@ -46,12 +46,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "index/data_store.hpp"
 #include "index/inverted_index.hpp"
 #include "search/ranker.hpp"
@@ -326,16 +328,6 @@ MixedResult run_mixed(std::size_t num_readers, double seconds,
   return out;
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -437,14 +429,9 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     const struct {
       const char* what;
       const char* key;
@@ -454,7 +441,7 @@ int main(int argc, char** argv) {
         {"8-reader qps", "reader_qps_8", r8.qps()},
     };
     for (const auto& c : checks) {
-      const double recorded = parse_key(baseline, c.key);
+      const double recorded = benchutil::parse_key(baseline, c.key);
       if (recorded <= 0.0) continue;
       if (c.measured < recorded / 2.0) {
         std::fprintf(stderr, "FAIL: %s regressed: %.0f vs baseline %.0f (>2x drop)\n", c.what,

@@ -25,10 +25,12 @@
 #include <fstream>
 #include <memory>
 #include <random>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/baseline.hpp"
 #include "bloom/bloom_filter.hpp"
 #include "search/candidate_cache.hpp"
 #include "search/distributed.hpp"
@@ -208,16 +210,6 @@ void append_mode(std::ostringstream& os, const char* name, const ModeResult& m) 
      << ", \"p99_us\": " << m.p99_us << "}";
 }
 
-/// Minimal key lookup in the baseline JSON: finds "key" and parses the
-/// number after the following ':'.
-double parse_key(const std::string& json, const std::string& key) {
-  const std::size_t at = json.find("\"" + key + "\"");
-  if (at == std::string::npos) return -1.0;
-  const std::size_t colon = json.find(':', at);
-  if (colon == std::string::npos) return -1.0;
-  return std::strtod(json.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -267,17 +259,12 @@ int main(int argc, char** argv) {
   }
 
   if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "FAIL: cannot read baseline %s\n", baseline_path.c_str());
-      return 1;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    const std::string baseline = buf.str();
+    const std::optional<std::string> loaded = benchutil::read_baseline(baseline_path);
+    if (!loaded) return 1;
+    const std::string& baseline = *loaded;
     for (const SizeResult& r : results) {
       const std::string key = "warm_qps_" + std::to_string(r.peers);
-      const double recorded = parse_key(baseline, key);
+      const double recorded = benchutil::parse_key(baseline, key);
       if (recorded <= 0.0) continue;
       if (r.warm.qps < recorded / 2.0) {
         std::fprintf(stderr,

@@ -95,9 +95,12 @@ std::vector<std::uint8_t> merge_diff_wire(std::span<const std::uint8_t> filter_w
   return out.take();
 }
 
-std::vector<std::uint64_t> diff_positions(std::span<const std::uint8_t> diff_wire) {
+std::vector<std::uint64_t> diff_positions(std::span<const std::uint8_t> diff_wire,
+                                          std::uint64_t nbits) {
   ByteReader in(diff_wire);
-  return golomb_positions(read_compressed(in));
+  const CompressedBits diff = read_compressed(in);
+  if (diff.nbits != nbits) throw std::invalid_argument("diff_positions: size mismatch");
+  return golomb_positions(diff);
 }
 
 }  // namespace planetp::bloom

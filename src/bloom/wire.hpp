@@ -40,7 +40,7 @@ BloomFilter decode_filter_bytes(std::span<const std::uint8_t> wire);
 /// in the Golomb gap domain (positions merged with XOR semantics, result
 /// re-encoded) — no 400k-bit vector is ever materialized. Byte-identical to
 /// decode_filter -> BloomFilter::apply_diff -> encode_filter, which is what
-/// keeps at-rest compressed directory records exactly equal to a decoded
+/// keeps a directory record's filter bytes exactly equal to a decoded
 /// oracle. Throws on geometry mismatch or corrupt streams.
 std::vector<std::uint8_t> merge_diff_wire(std::span<const std::uint8_t> filter_wire,
                                           std::span<const std::uint8_t> diff_wire);
@@ -48,6 +48,8 @@ std::vector<std::uint8_t> merge_diff_wire(std::span<const std::uint8_t> filter_w
 /// The sorted bit positions an encode_diff byte string flips, decoded
 /// straight from the gap stream in O(changed bits) — the basis for surgical
 /// candidate-cache fixes without materializing the diff as a bit vector.
-std::vector<std::uint64_t> diff_positions(std::span<const std::uint8_t> diff_wire);
+/// Throws when the diff is not \p nbits wide or the stream is corrupt.
+std::vector<std::uint64_t> diff_positions(std::span<const std::uint8_t> diff_wire,
+                                          std::uint64_t nbits);
 
 }  // namespace planetp::bloom

@@ -12,12 +12,13 @@ Peer::Peer(gossip::PeerId id, const PeerConfig& config, Rng protocol_rng)
       config_(config),
       store_(id, config.bloom, config.analyzer),
       protocol_(id, config.gossip, std::move(protocol_rng)),
-      last_announced_(config.bloom),
+      last_announced_(std::make_shared<const bloom::BloomFilter>(config.bloom)),
       cache_(config.candidate_cache) {
-  // Keep the candidate cache warm from the gossip stream: XOR filter diffs
-  // merge in the wire domain (only cached terms whose bits the diff touches
-  // are fixed), rejoin version bumps are recorded without re-decoding, and
-  // anything else drops the stale filter for lazy re-decode by filter_of.
+  // Keep the candidate cache warm from the gossip stream: an XOR filter diff
+  // flips the bits of a resident decoded copy (only cached terms whose bits
+  // the diff touches are fixed), rejoin version bumps are recorded without
+  // re-decoding, and anything else drops the stale filter; filter_of decodes
+  // the directory record's bytes on next use.
   protocol_.hooks().on_apply = [this](const gossip::RumorPayload& payload, TimePoint) {
     if (payload.origin == id_) return;
     // A rejoin re-announces unchanged content.
@@ -33,14 +34,15 @@ Peer::Peer(gossip::PeerId id, const PeerConfig& config, Rng protocol_rng)
 void Peer::announce(std::size_t terms_before, TimePoint now) {
   const std::size_t terms = store_.num_terms();
   const auto new_keys = static_cast<std::uint32_t>(terms - std::min(terms, terms_before));
-  const bloom::BloomFilter current = store_.bloom_filter();
+  auto current = std::make_shared<const bloom::BloomFilter>(store_.bloom_filter());
   ByteWriter diff_writer;
-  bloom::encode_diff(diff_writer, current.diff_from(last_announced_));
+  bloom::encode_diff(diff_writer, current->diff_from(*last_announced_));
   ByteWriter full_writer;
-  bloom::encode_filter(full_writer, current);
+  bloom::encode_filter(full_writer, *current);
   protocol_.local_filter_change(static_cast<std::uint32_t>(terms), new_keys,
                                 diff_writer.take(), full_writer.take(), now);
-  last_announced_ = current;
+  last_announced_ = std::move(current);
+  announced_version_ = store_.filter_version();
 }
 
 index::DocumentId Peer::publish(std::string xml, TimePoint now) {
@@ -74,7 +76,7 @@ gossip::PeerRecord Peer::join_record(std::string address,
   r.online = true;
   r.key_count = static_cast<std::uint32_t>(store_.num_terms());
   ByteWriter w;
-  bloom::encode_filter(w, store_.bloom_filter());
+  bloom::encode_filter(w, *own_filter());
   r.filter_wire = w.take();
   return r;
 }
@@ -88,14 +90,9 @@ std::shared_ptr<const bloom::BloomFilter> Peer::filter_of(gossip::PeerId peer) c
 
 std::shared_ptr<const bloom::BloomFilter> Peer::filter_of(
     const gossip::PeerRecord& record) const {
-  if (auto cached = cache_.version_of(record.id);
-      !cached.has_value() || *cached != record.version) {
-    // Hand the cache the record's compressed wire verbatim; it stays at rest
-    // until resident_filter decodes it (and the decoded working set is
-    // LRU-bounded when the config asks for it).
-    cache_.update_peer_wire(record.id, record.filter_wire, record.version);
-  }
-  return cache_.resident_filter(record.id);
+  // The record's bytes are the only stored encoding; the cache decodes them
+  // when it holds no copy at the record's version.
+  return cache_.resident_filter(record.id, record.version, record.filter_wire);
 }
 
 std::shared_ptr<const bloom::BloomFilter> Peer::own_filter() const {
@@ -103,11 +100,16 @@ std::shared_ptr<const bloom::BloomFilter> Peer::own_filter() const {
   // the cache so the self row of a ranked search resolves through warm
   // entries too.
   const std::uint64_t version = store_.filter_version() + 1;
-  if (auto cached = cache_.version_of(id_); !cached.has_value() || *cached != version) {
-    cache_.update_peer(id_, std::make_shared<bloom::BloomFilter>(store_.bloom_filter()),
-                       version);
+  if (cache_.version_of(id_) == version) {
+    if (auto cached = cache_.filter_of(id_)) return cached;
   }
-  return cache_.filter_of(id_);
+  // The filter announce projected, unless the store was changed through
+  // store() since then.
+  auto own = store_.filter_version() == announced_version_
+                 ? last_announced_
+                 : std::make_shared<const bloom::BloomFilter>(store_.bloom_filter());
+  cache_.update_peer(id_, own, version);
+  return own;
 }
 
 Peer::SearchView Peer::search_view() const {

@@ -52,9 +52,9 @@ class Peer {
   gossip::PeerRecord join_record(std::string address, gossip::LinkClass link_class) const;
 
   /// Decoded Bloom filter of \p peer as our directory records it (nullptr
-  /// when unknown or filterless). A remote record's wire goes into the cache
-  /// keyed by its version and decodes on demand; our own filter is projected
-  /// once per store filter version. The shared_ptr pins the filter across
+  /// when unknown or filterless). The cache decodes a remote record's bytes
+  /// when it holds no copy at the record's version; our own filter is the
+  /// one the last announce projected. The shared_ptr pins the filter across
   /// any LRU eviction (candidate_cache.max_decoded_bytes).
   std::shared_ptr<const bloom::BloomFilter> filter_of(gossip::PeerId peer) const;
 
@@ -97,7 +97,10 @@ class Peer {
   const PeerConfig& config_;
   index::DataStore store_;
   gossip::Protocol protocol_;
-  bloom::BloomFilter last_announced_;  ///< diff base for filter-change rumors
+  /// Our filter as last announced, projected once per announce: the next
+  /// filter-change rumor's diff base and the cache's self row.
+  std::shared_ptr<const bloom::BloomFilter> last_announced_;
+  std::uint64_t announced_version_ = 0;  ///< store filter version it projects
   /// The query hot path, kept warm by the protocol hooks the constructor
   /// installs. mutable: filter_of fills it lazily; it locks internally.
   mutable search::CandidateCache cache_;

@@ -160,6 +160,8 @@ NetStats LiveNode::net_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     s.gossip = peer_.protocol().stats();
   }
+  std::lock_guard<std::mutex> lock(rpc_mu_);
+  s.rpc_responses_dropped = rpc_responses_dropped_;
   return s;
 }
 
@@ -377,10 +379,17 @@ void LiveNode::handle_rpc(std::uint32_t sender, const RpcMessage& msg) {
     reply_rpc(sender, resp);
     return;
   }
-  // A response: hand to the waiting caller.
+  // A response: hand it to its waiting caller. One nobody waits for — late,
+  // after its caller timed out, or unsolicited — is dropped, so outside input
+  // cannot grow rpc_responses_ or answer a later call that reuses its id.
   {
     std::lock_guard<std::mutex> lock(rpc_mu_);
-    rpc_responses_.emplace(rpc_request_id(msg), msg);
+    const std::uint64_t request_id = rpc_request_id(msg);
+    if (!rpc_pending_.contains(request_id)) {
+      ++rpc_responses_dropped_;
+      return;
+    }
+    rpc_responses_.emplace(request_id, msg);
   }
   rpc_cv_.notify_all();
 }
@@ -488,8 +497,7 @@ std::vector<LiveHit> LiveNode::ranked_search(std::string_view query, std::size_t
       }
       return search::PeerSearchResult::ok(std::move(docs), latency);
     }
-    // Wrong variant or an explicit ErrorResponse: the peer answered but
-    // could not serve the query.
+    // Wrong variant: the peer answered but could not serve the query.
     return search::PeerSearchResult::failure(search::ContactStatus::kError, latency);
   };
 

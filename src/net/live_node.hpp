@@ -205,11 +205,14 @@ class LiveNode {
     std::string address;
     bool failed = false;
   };
-  std::mutex rpc_mu_;
+  mutable std::mutex rpc_mu_;
   std::condition_variable rpc_cv_;
   std::uint64_t next_request_id_ = 1;
+  /// Responses to calls still pending; a response is kept only while its
+  /// request id is in rpc_pending_.
   std::unordered_map<std::uint64_t, RpcMessage> rpc_responses_;
   std::unordered_map<std::uint64_t, PendingRpc> rpc_pending_;
+  std::uint64_t rpc_responses_dropped_ = 0;  ///< responses nobody waited for
 
   // Converged-start state: records installed at start() instead of a join
   // rumor, plus our own pre-crash version to resume from (0 = fresh join).

@@ -37,6 +37,9 @@ struct NetStats {
   std::uint64_t drops_unroutable = 0;    ///< unparseable address / socket creation failure
   std::uint64_t rpc_rejected_full = 0;   ///< RPC sends rejected synchronously by the global cap
   std::uint64_t oversize_closes = 0;     ///< connections closed for an over-cap frame
+  /// RPC responses no call was waiting for (late or unsolicited), dropped
+  /// unkept. Counted by LiveNode, not the reactor.
+  std::uint64_t rpc_responses_dropped = 0;
 
   // Gauges.
   std::uint64_t connections = 0;       ///< open connections right now
@@ -64,6 +67,7 @@ struct NetStats {
     drops_unroutable += o.drops_unroutable;
     rpc_rejected_full += o.rpc_rejected_full;
     oversize_closes += o.oversize_closes;
+    rpc_responses_dropped += o.rpc_responses_dropped;
     connections += o.connections;
     queued_bytes += o.queued_bytes;
     if (o.peak_queued_bytes > peak_queued_bytes) peak_queued_bytes = o.peak_queued_bytes;

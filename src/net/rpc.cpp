@@ -17,7 +17,6 @@ enum class Tag : std::uint8_t {
   kStoreSnippet = 7,
   kLookupSnippetRequest = 8,
   kLookupSnippetResponse = 9,
-  kErrorResponse = 10,
 };
 
 void encode_snippet(ByteWriter& w, const WireSnippet& s) {
@@ -123,11 +122,6 @@ struct Encoder {
     w.varint(m.snippets.size());
     for (const auto& s : m.snippets) encode_snippet(w, s);
   }
-  void operator()(const ErrorResponse& m) const {
-    w.u8(static_cast<std::uint8_t>(Tag::kErrorResponse));
-    w.u64(m.request_id);
-    w.u8(static_cast<std::uint8_t>(m.error));
-  }
 };
 
 }  // namespace
@@ -211,12 +205,6 @@ RpcMessage decode_rpc(std::span<const std::uint8_t> data) {
       const std::size_t n = r.count(15);  // minimum encoded WireSnippet
       m.snippets.reserve(n);
       for (std::size_t i = 0; i < n; ++i) m.snippets.push_back(decode_snippet(r));
-      return m;
-    }
-    case Tag::kErrorResponse: {
-      ErrorResponse m;
-      m.request_id = r.u64();
-      m.error = static_cast<RpcError>(r.u8());
       return m;
     }
   }

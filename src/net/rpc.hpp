@@ -90,24 +90,10 @@ struct LookupSnippetResponse {
   std::vector<WireSnippet> snippets;
 };
 
-/// Why a peer could not serve a request (docs/SEARCH.md).
-enum class RpcError : std::uint8_t {
-  kInternal = 0,     ///< handler failed (decode error, bad state)
-  kNotResponsible = 1,  ///< receiver is not a replica for the requested key
-};
-
-/// Explicit failure reply. A peer that cannot serve a request answers with
-/// this instead of silence, letting the caller fail over immediately rather
-/// than burn its full RPC timeout.
-struct ErrorResponse {
-  std::uint64_t request_id = 0;
-  RpcError error = RpcError::kInternal;
-};
-
 using RpcMessage =
     std::variant<RankedRequest, RankedResponse, ExhaustiveRequest, ExhaustiveResponse,
                  FetchRequest, FetchResponse, StoreSnippetRequest, LookupSnippetRequest,
-                 LookupSnippetResponse, ErrorResponse>;
+                 LookupSnippetResponse>;
 
 std::vector<std::uint8_t> encode_rpc(const RpcMessage& msg);
 RpcMessage decode_rpc(std::span<const std::uint8_t> data);

@@ -116,136 +116,42 @@ void CandidateCache::update_peer(std::uint32_t peer,
     return;
   }
   std::lock_guard<std::mutex> lock(mu_);
-  PeerState& st = peers_[peer];
-  detach_residency(st);
-  st.wire.clear();  // decoded-only mode: this filter is the durable copy
-  st.filter = std::move(filter);
-  st.version = version;
-  decoded_bytes_ += decoded_cost(*st.filter);
-  ++epoch_;
-  // Keep every cached term warm: fix this peer's membership in place.
-  reprobe_entries(peer, st.filter.get());
-  stats_.full_reprobes += entries_.size();
-  evict_decoded_to_bound();
+  install(peer, std::move(filter), version);
 }
 
-void CandidateCache::update_peer_wire(std::uint32_t peer, std::vector<std::uint8_t> wire,
-                                      std::uint64_t version) {
-  if (wire.empty()) {
-    remove_peer(peer);
-    return;
-  }
+std::shared_ptr<const bloom::BloomFilter> CandidateCache::resident_filter(
+    std::uint32_t peer, std::uint64_t version, std::span<const std::uint8_t> wire) {
   std::lock_guard<std::mutex> lock(mu_);
-  PeerState& st = peers_[peer];
-  detach_residency(st);
-  st.wire = std::move(wire);
-  st.version = version;
-  ++epoch_;
-  // At rest until asked for: entries must not claim membership for a peer
-  // that is not decoded-resident (lookup would otherwise rank it from a
-  // filter nobody holds).
-  reprobe_entries(peer, nullptr);
-  stats_.full_reprobes += entries_.size();
+  auto it = peers_.find(peer);
+  if (it != peers_.end() && it->second.version == version) {
+    decoded_lru_.splice(decoded_lru_.begin(), decoded_lru_, it->second.lru);
+    return it->second.filter;
+  }
+  std::shared_ptr<const bloom::BloomFilter> decoded;
+  try {
+    decoded = std::make_shared<bloom::BloomFilter>(bloom::decode_filter_bytes(wire));
+  } catch (const std::exception&) {
+    if (it != peers_.end()) drop(it);  // the older copy is stale either way
+    return nullptr;
+  }
+  ++stats_.wire_decodes;
+  install(peer, decoded, version);
+  return decoded;
 }
 
 bool CandidateCache::apply_peer_diff(std::uint32_t peer, const BitVector& diff,
                                      std::uint64_t base_version, std::uint64_t new_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.filter == nullptr || !it->second.wire.empty() ||
-      it->second.version != base_version || it->second.filter->bit_size() != diff.size()) {
+  if (it == peers_.end() || it->second.version != base_version ||
+      it->second.filter->bit_size() != diff.size()) {
     return false;
   }
-  // Copy-on-write: in-flight queries may still reference the old filter.
   auto updated = std::make_shared<bloom::BloomFilter>(*it->second.filter);
   updated->apply_diff(diff);
-  const std::uint64_t nbits = diff.size();
-  // Surgical pass: only a term whose bit positions the diff touches can have
-  // changed membership at this peer; everything else stays warm untouched.
-  for (auto& [term, e] : entries_) {
-    bool touched = false;
-    for (std::uint32_t j = 0; j < updated->num_hashes() && !touched; ++j) {
-      touched = diff.test(static_cast<std::size_t>(e.hp.ith(j) % nbits));
-    }
-    if (!touched) {
-      ++stats_.surgical_keeps;
-      continue;
-    }
-    ++stats_.surgical_fixes;
-    const bool contains = updated->contains(e.hp);
-    auto pos = std::lower_bound(e.peers.begin(), e.peers.end(), peer);
-    const bool present = pos != e.peers.end() && *pos == peer;
-    if (contains && !present) {
-      e.peers.insert(pos, peer);
-    } else if (!contains && present) {
-      e.peers.erase(pos);
-    }
-  }
-  it->second.filter = std::move(updated);
-  it->second.version = new_version;
-  ++epoch_;
-  return true;
-}
-
-bool CandidateCache::apply_peer_diff_wire(std::uint32_t peer,
-                                          std::span<const std::uint8_t> diff_wire,
-                                          std::uint64_t base_version,
-                                          std::uint64_t new_version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = peers_.find(peer);
-  if (it == peers_.end() || it->second.wire.empty() || it->second.version != base_version) {
-    return false;
-  }
-  PeerState& st = it->second;
-  std::vector<std::uint8_t> merged;
   std::vector<std::uint64_t> flips;
-  try {
-    // Gap-domain merge: the at-rest bytes absorb the diff without ever
-    // materializing a bit vector (byte-identical to decode/XOR/re-encode).
-    merged = bloom::merge_diff_wire(st.wire, diff_wire);
-    if (st.filter != nullptr) flips = bloom::diff_positions(diff_wire);
-  } catch (const std::exception&) {
-    return false;  // geometry mismatch or corrupt stream: full update needed
-  }
-  if (st.filter != nullptr) {
-    // Mirror the flips onto a private decoded copy (in-flight queries may
-    // still reference the old one) and surgically fix only the cached terms
-    // whose bit positions the diff touches.
-    auto updated = std::make_shared<bloom::BloomFilter>(*st.filter);
-    BitVector& bits = updated->mutable_bits();
-    for (std::uint64_t pos : flips) {
-      if (pos >= bits.size()) continue;
-      if (bits.test(static_cast<std::size_t>(pos))) {
-        bits.reset(static_cast<std::size_t>(pos));
-      } else {
-        bits.set(static_cast<std::size_t>(pos));
-      }
-    }
-    const std::uint64_t nbits = updated->bit_size();
-    for (auto& [term, e] : entries_) {
-      bool touched = false;
-      for (std::uint32_t j = 0; j < updated->num_hashes() && !touched; ++j) {
-        touched = std::binary_search(flips.begin(), flips.end(), e.hp.ith(j) % nbits);
-      }
-      if (!touched) {
-        ++stats_.surgical_keeps;
-        continue;
-      }
-      ++stats_.surgical_fixes;
-      const bool contains = updated->contains(e.hp);
-      auto pos = std::lower_bound(e.peers.begin(), e.peers.end(), peer);
-      const bool present = pos != e.peers.end() && *pos == peer;
-      if (contains && !present) {
-        e.peers.insert(pos, peer);
-      } else if (!contains && present) {
-        e.peers.erase(pos);
-      }
-    }
-    st.filter = std::move(updated);  // same geometry: decoded_bytes_ unchanged
-  }
-  st.wire = std::move(merged);
-  st.version = new_version;
-  ++epoch_;
+  diff.for_each_set([&](std::size_t pos) { flips.push_back(pos); });
+  apply_flips(it, std::move(updated), flips, new_version);
   return true;
 }
 
@@ -265,21 +171,32 @@ void CandidateCache::apply_update(std::uint32_t peer, std::uint64_t version,
     touch_peer(peer, version);
     return;
   }
-  if (base_version != 0 && !filter_bits.empty() &&
-      apply_peer_diff_wire(peer, filter_bits, base_version, version)) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = peers_.find(peer);
+  if (it == peers_.end()) return;  // not resident: nothing to keep current
+  if (base_version != 0 && !filter_bits.empty() && it->second.version == base_version) {
+    std::vector<std::uint64_t> flips;
+    try {
+      flips = bloom::diff_positions(filter_bits, it->second.filter->bit_size());
+    } catch (const std::exception&) {
+      drop(it);  // corrupt or mis-sized diff: decode the record's bytes on next use
+      return;
+    }
+    auto updated = std::make_shared<bloom::BloomFilter>(*it->second.filter);
+    BitVector& bits = updated->mutable_bits();
+    for (const std::uint64_t pos : flips) {
+      bits.assign(static_cast<std::size_t>(pos), !bits.test(static_cast<std::size_t>(pos)));
+    }
+    apply_flips(it, std::move(updated), flips, version);
     return;
   }
-  remove_peer(peer);
+  drop(it);  // a full filter or a diff against another version
 }
 
 void CandidateCache::remove_peer(std::uint32_t peer) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = peers_.find(peer);
-  if (it == peers_.end()) return;
-  detach_residency(it->second);
-  peers_.erase(it);
-  ++epoch_;
-  reprobe_entries(peer, nullptr);
+  if (it != peers_.end()) drop(it);
 }
 
 void CandidateCache::clear() {
@@ -310,37 +227,6 @@ const bloom::BloomFilter* CandidateCache::filter_ptr(std::uint32_t peer) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = peers_.find(peer);
   return it == peers_.end() ? nullptr : it->second.filter.get();
-}
-
-std::shared_ptr<const bloom::BloomFilter> CandidateCache::resident_filter(std::uint32_t peer) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = peers_.find(peer);
-  if (it == peers_.end()) return nullptr;
-  PeerState& st = it->second;
-  if (st.filter != nullptr) {
-    if (st.evictable) decoded_lru_.splice(decoded_lru_.begin(), decoded_lru_, st.lru);
-    return st.filter;
-  }
-  if (st.wire.empty()) return nullptr;
-  std::shared_ptr<const bloom::BloomFilter> decoded;
-  try {
-    decoded = std::make_shared<bloom::BloomFilter>(bloom::decode_filter_bytes(st.wire));
-  } catch (const std::exception&) {
-    return nullptr;  // corrupt wire; the caller falls back to a full update
-  }
-  st.filter = decoded;
-  decoded_bytes_ += decoded_cost(*st.filter);
-  decoded_lru_.push_front(peer);
-  st.lru = decoded_lru_.begin();
-  st.evictable = true;
-  ++stats_.wire_decodes;
-  // Residency transition is a population change: cached entries gain this
-  // peer, and in-flight miss probes must not install results computed
-  // against the pre-decode population.
-  ++epoch_;
-  reprobe_entries(peer, st.filter.get());
-  evict_decoded_to_bound();
-  return decoded;
 }
 
 IpfTable CandidateCache::lookup(const std::vector<std::string>& terms,
@@ -395,7 +281,7 @@ IpfTable CandidateCache::lookup(const HashedTerms& q, const std::vector<PeerFilt
       for (const PeerFilter& pf : view) {
         fresh->rows.emplace_back(pf.peer, pf.filter);
         if (pf.filter == nullptr) continue;
-        auto it = config_.enabled ? peers_.find(pf.peer) : peers_.end();
+        auto it = peers_.find(pf.peer);
         if (it != peers_.end() && it->second.filter.get() == pf.filter &&
             fresh->backed.insert(pf.peer)) {
           continue;
@@ -422,17 +308,14 @@ IpfTable CandidateCache::lookup(const HashedTerms& q, const std::vector<PeerFilt
       }
     }
 
-    if (config_.enabled && !miss_idx.empty()) {
-      // Snapshot the whole known population (not just the view) so the new
-      // entries answer future queries with different views too. The filters
-      // are shared_ptr-owned; keepalive pins them across the unlocked probe.
-      // Only decoded-resident peers enter the entries (the at-rest ones have
-      // no probeable filter); a later decode-in re-probes every entry so the
-      // invariant "entries cover exactly the resident population" holds.
+    if (!miss_idx.empty()) {
+      // Snapshot the whole resident population (not just the view) so the
+      // new entries answer future queries with different views too. The
+      // filters are shared_ptr-owned; keepalive pins them across the
+      // unlocked probe.
       population.reserve(peers_.size());
       keepalive.reserve(peers_.size());
       for (const auto& [id, st] : peers_) {
-        if (st.filter == nullptr) continue;
         population.emplace_back(id, st.filter.get());
         keepalive.push_back(st.filter);
       }
@@ -451,7 +334,7 @@ IpfTable CandidateCache::lookup(const HashedTerms& q, const std::vector<PeerFilt
     // Only install results when the population did not change underneath the
     // probe; the query answer itself is always consistent with the caller's
     // view (whose filters keepalive pinned).
-    const bool install = config_.enabled && epoch_ == epoch_snapshot;
+    const bool install = epoch_ == epoch_snapshot;
     for (std::size_t m = 0; m < miss_idx.size(); ++m) {
       for (std::uint32_t p : miss_results[m]) {
         if (memo->backed.contains(p)) cand[miss_idx[m]].push_back(p);
@@ -552,28 +435,76 @@ void CandidateCache::evict_to_bound() {
   }
 }
 
-void CandidateCache::detach_residency(PeerState& st) {
-  if (st.filter == nullptr) return;
-  decoded_bytes_ -= decoded_cost(*st.filter);
-  if (st.evictable) {
-    decoded_lru_.erase(st.lru);
-    st.evictable = false;
+void CandidateCache::install(std::uint32_t peer,
+                             std::shared_ptr<const bloom::BloomFilter> filter,
+                             std::uint64_t version) {
+  auto [it, fresh] = peers_.try_emplace(peer);
+  PeerState& st = it->second;
+  if (fresh) {
+    decoded_lru_.push_front(peer);
+  } else {
+    decoded_bytes_ -= decoded_cost(*st.filter);
+    decoded_lru_.splice(decoded_lru_.begin(), decoded_lru_, st.lru);
   }
-  st.filter.reset();
+  st.lru = decoded_lru_.begin();
+  st.filter = std::move(filter);
+  st.version = version;
+  decoded_bytes_ += decoded_cost(*st.filter);
+  ++epoch_;
+  // Keep every cached term warm: fix this peer's membership in place.
+  reprobe_entries(peer, st.filter.get());
+  stats_.full_reprobes += entries_.size();
+  evict_decoded_to_bound();
+}
+
+void CandidateCache::apply_flips(PeerMap::iterator it,
+                                 std::shared_ptr<const bloom::BloomFilter> updated,
+                                 const std::vector<std::uint64_t>& flips,
+                                 std::uint64_t version) {
+  // Surgical pass: only a term whose bit positions the diff touches can have
+  // changed membership at this peer; everything else stays warm untouched.
+  const std::uint32_t peer = it->first;
+  const std::uint64_t nbits = updated->bit_size();
+  for (auto& [term, e] : entries_) {
+    bool touched = false;
+    for (std::uint32_t j = 0; j < updated->num_hashes() && !touched; ++j) {
+      touched = std::binary_search(flips.begin(), flips.end(), e.hp.ith(j) % nbits);
+    }
+    if (!touched) {
+      ++stats_.surgical_keeps;
+      continue;
+    }
+    ++stats_.surgical_fixes;
+    const bool contains = updated->contains(e.hp);
+    auto pos = std::lower_bound(e.peers.begin(), e.peers.end(), peer);
+    const bool present = pos != e.peers.end() && *pos == peer;
+    if (contains && !present) {
+      e.peers.insert(pos, peer);
+    } else if (!contains && present) {
+      e.peers.erase(pos);
+    }
+  }
+  // Copy-on-write: in-flight queries may still reference the old filter.
+  // Same geometry, so decoded_bytes_ is unchanged.
+  it->second.filter = std::move(updated);
+  it->second.version = version;
+  ++epoch_;
+}
+
+void CandidateCache::drop(PeerMap::iterator it) {
+  const std::uint32_t peer = it->first;
+  decoded_bytes_ -= decoded_cost(*it->second.filter);
+  decoded_lru_.erase(it->second.lru);
+  peers_.erase(it);
+  ++epoch_;
+  reprobe_entries(peer, nullptr);
 }
 
 void CandidateCache::evict_decoded_to_bound() {
   if (config_.max_decoded_bytes == 0) return;
   while (decoded_bytes_ > config_.max_decoded_bytes && !decoded_lru_.empty()) {
-    const std::uint32_t victim = decoded_lru_.back();
-    decoded_lru_.pop_back();
-    PeerState& st = peers_.at(victim);
-    decoded_bytes_ -= decoded_cost(*st.filter);
-    st.filter.reset();  // the wire bytes remain the durable copy
-    st.evictable = false;
-    reprobe_entries(victim, nullptr);
+    drop(peers_.find(decoded_lru_.back()));
     ++stats_.decoded_evictions;
-    ++epoch_;
   }
 }
 
@@ -600,13 +531,6 @@ std::size_t CandidateCache::known_peers() const {
 std::size_t CandidateCache::decoded_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return decoded_bytes_;
-}
-
-std::size_t CandidateCache::resident_peers() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::size_t n = 0;
-  for (const auto& [id, st] : peers_) n += st.filter != nullptr ? 1 : 0;
-  return n;
 }
 
 }  // namespace planetp::search

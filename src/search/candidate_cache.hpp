@@ -25,18 +25,17 @@
 /// term→candidate mapping per query throws that structure away. Following
 /// Witten et al.'s precompute-and-maintain doctrine, CandidateCache keeps:
 ///
-///  1. a versioned store of each peer's Bloom filter (the searcher's
-///     directory view), kept current by full updates, version touches, and
-///     *surgical* XOR-diff application: an incoming diff is tested against
-///     every cached term's bit positions, so an update that does not touch a
-///     term's bits leaves its candidate entry warm, and one that does fixes
-///     just that (term, peer) membership instead of invalidating wholesale.
-///     Filters fed as wire bytes (update_peer_wire) stay Golomb-compressed
-///     *at rest*: they decode on first use, the decoded working set is
-///     LRU-bounded by max_decoded_bytes, and gossiped diffs merge into the
-///     compressed form directly (gap-domain XOR) so an at-rest peer is
-///     updated without ever materializing its bit vector;
-///  2. a bounded (LRU) term → candidate-peers map over the known filter
+///  1. a versioned store of decoded Bloom filters (the searcher's directory
+///     view). It holds no encoded bytes: the directory record's filter_wire
+///     is the only stored encoding of a remote peer's filter, and
+///     resident_filter() decodes it on a miss or a version change. The
+///     decoded working set is LRU-bounded by max_decoded_bytes. A gossiped
+///     XOR diff for a resident peer is applied *surgically*: its flipped bit
+///     positions (bloom::diff_positions) go onto a copy of the decoded
+///     filter, and only the cached terms whose bit positions the diff
+///     touches have their (term, peer) membership fixed; a diff for a peer
+///     that is not resident decodes nothing;
+///  2. a bounded (LRU) term → candidate-peers map over the resident filter
 ///     population, consulted by lookup();
 ///  3. a filter-major batched probe kernel for cache misses: one pass over
 ///     the peers, probing all missing terms back-to-back per filter with
@@ -52,10 +51,6 @@
 namespace planetp::search {
 
 struct CandidateCacheConfig {
-  /// Master switch for the term→candidate entries. Disabled, lookup() still
-  /// runs the batched probe kernel (every term a miss, nothing stored) and
-  /// the filter store still serves as the decoded-filter cache.
-  bool enabled = true;
   /// Bound on cached term entries; least-recently-used entries evict first.
   std::size_t max_terms = 4096;
   /// Probe kernels over at least this many filters shard across the thread
@@ -64,13 +59,10 @@ struct CandidateCacheConfig {
   /// Worker threads for the parallel scan; 0 = hardware concurrency. The
   /// pool is created lazily on the first scan that crosses the threshold.
   std::size_t max_threads = 0;
-  /// Bound on decoded filter bytes held for wire-backed peers (those fed via
-  /// update_peer_wire). Beyond it the least-recently-used decoded filter is
-  /// dropped back to its Golomb-compressed wire form — the next
-  /// resident_filter() re-decodes on demand. 0 = unbounded. Filters installed
-  /// without wire backing (update_peer) count toward the bound but are never
-  /// evicted: the wire bytes are the only durable copy a wire-backed peer
-  /// needs, a decoded-only peer has nothing to fall back to.
+  /// Bound on decoded filter bytes held. Beyond it the least-recently-used
+  /// filter is dropped; the caller still holds what it came from (the
+  /// directory record's bytes), and the next resident_filter() re-decodes
+  /// them. 0 = unbounded.
   std::size_t max_decoded_bytes = 0;
 };
 
@@ -85,8 +77,8 @@ struct CandidateCacheStats {
   std::uint64_t full_reprobes = 0;    ///< full filter replacement re-probed entries
   std::uint64_t evictions = 0;        ///< entries dropped by the max_terms bound
   std::uint64_t parallel_scans = 0;   ///< kernel invocations that used the pool
-  std::uint64_t wire_decodes = 0;     ///< on-demand decodes of at-rest wire filters
-  std::uint64_t decoded_evictions = 0;  ///< decoded filters dropped back to wire form
+  std::uint64_t wire_decodes = 0;     ///< resident_filter() decodes of record bytes
+  std::uint64_t decoded_evictions = 0;  ///< filters dropped by the max_decoded_bytes bound
 };
 
 class CandidateCache {
@@ -105,46 +97,41 @@ class CandidateCache {
   void update_peer(std::uint32_t peer, std::shared_ptr<const bloom::BloomFilter> filter,
                    std::uint64_t version);
 
-  /// Install or replace \p peer's filter *at rest*: the cache keeps only the
-  /// Golomb-compressed \p wire bytes (exactly what encode_filter emits) and
-  /// decodes on the first resident_filter() call. With max_decoded_bytes set
-  /// this is what keeps directory-of-the-community memory at compressed cost
-  /// plus a bounded decoded working set. Empty \p wire forgets the peer.
-  void update_peer_wire(std::uint32_t peer, std::vector<std::uint8_t> wire,
-                        std::uint64_t version);
+  /// \p peer's decoded filter at \p version, where \p wire is that version's
+  /// encode_filter bytes as the caller's directory record holds them. A
+  /// resident copy at \p version is returned as it is; otherwise the bytes
+  /// are decoded and installed like update_peer (possibly dropping the
+  /// least-recently-used filters to stay under max_decoded_bytes). The
+  /// returned shared_ptr pins the filter for the caller even if the cache
+  /// drops its own copy. nullptr, with any older copy dropped, when the
+  /// bytes do not parse.
+  std::shared_ptr<const bloom::BloomFilter> resident_filter(
+      std::uint32_t peer, std::uint64_t version, std::span<const std::uint8_t> wire);
 
-  /// Surgical update from a gossiped XOR diff: applies \p diff to a private
-  /// copy of the stored filter and fixes only the cached terms whose bit
-  /// positions the diff touches. Returns false (no change) when the stored
-  /// version is not \p base_version — the caller should fall back to a full
-  /// update_peer with the record's filter. Refuses wire-backed peers (use
-  /// apply_peer_diff_wire, which keeps the at-rest bytes in sync).
+  /// Surgical update from an XOR diff: applies \p diff to a private copy of
+  /// the stored filter and fixes only the cached terms whose bit positions
+  /// the diff touches. Returns false (no change) when the stored version is
+  /// not \p base_version or the geometry differs — the caller should fall
+  /// back to a full update_peer. The decoded-domain oracle the tests compare
+  /// apply_update against.
   bool apply_peer_diff(std::uint32_t peer, const BitVector& diff,
                        std::uint64_t base_version, std::uint64_t new_version);
 
-  /// Wire-domain diff for a wire-backed peer: the at-rest bytes are updated
-  /// by a Golomb gap merge (bloom::merge_diff_wire — no bit vector is ever
-  /// materialized) and, when the peer is decoded-resident, the same flips are
-  /// mirrored onto the decoded copy with the usual surgical entry fixes.
-  /// \p diff_wire is an encode_diff byte string. Returns false when the peer
-  /// is not wire-backed at \p base_version or the streams do not parse — the
-  /// caller should fall back to update_peer_wire with the record's full wire.
-  bool apply_peer_diff_wire(std::uint32_t peer, std::span<const std::uint8_t> diff_wire,
-                            std::uint64_t base_version, std::uint64_t new_version);
-
   /// Record a version bump whose filter content is unchanged (a rejoin
-  /// rumor). Returns false when the peer is unknown.
+  /// rumor). Returns false when the peer is not resident.
   bool touch_peer(std::uint32_t peer, std::uint64_t version);
 
   /// The one maintenance path for a gossiped update to a remote \p peer at
   /// \p version, taken by both runtimes once their directory applied it.
   /// Unchanged content (\p filter_changed false: a rejoin, or a record
   /// without a filter) is a version touch. An XOR diff (\p base_version !=
-  /// 0, \p filter_bits an encode_diff string) merges through
-  /// apply_peer_diff_wire. Anything else — a full filter, or a diff the
-  /// cache refuses — forgets the peer, and the next update_peer_wire of the
-  /// record's full wire re-warms it. Both runtimes keep remote peers
-  /// wire-backed, so a refused diff has no decoded fallback to try.
+  /// 0, \p filter_bits an encode_diff string) for a peer resident at
+  /// \p base_version flips the diff's positions on a copy of the decoded
+  /// filter, with the surgical entry fixes. A diff for a peer that is not
+  /// resident is ignored (nothing is decoded). Anything else — a full
+  /// filter, a diff against another version, a diff that does not parse or
+  /// fit — drops the peer, and the next resident_filter() decodes the
+  /// record's bytes.
   void apply_update(std::uint32_t peer, std::uint64_t version, bool filter_changed,
                     std::uint64_t base_version, std::span<const std::uint8_t> filter_bits);
 
@@ -155,32 +142,22 @@ class CandidateCache {
   /// Drop everything (filters and entries).
   void clear();
 
-  /// Version the cache holds for \p peer, if any.
+  /// Version the cache holds for \p peer, if resident.
   std::optional<std::uint64_t> version_of(std::uint32_t peer) const;
 
-  /// The stored decoded filter (shared ownership), or nullptr when unknown
-  /// or currently at rest in wire form (no decode is triggered).
+  /// The stored decoded filter (shared ownership), or nullptr when the peer
+  /// is not resident (no decode is triggered).
   std::shared_ptr<const bloom::BloomFilter> filter_of(std::uint32_t peer) const;
 
   /// Raw pointer to the stored decoded filter; valid until the next
-  /// update_peer / apply_peer_diff / remove_peer / clear for that peer — or,
-  /// for wire-backed peers under a max_decoded_bytes bound, until eviction.
+  /// update_peer / apply_peer_diff / apply_update / remove_peer / clear for
+  /// that peer — or, under a max_decoded_bytes bound, until eviction.
   /// Callers that hold filters across further cache traffic should pin the
-  /// shared_ptr from resident_filter() instead.
+  /// shared_ptr from filter_of() or resident_filter() instead.
   const bloom::BloomFilter* filter_ptr(std::uint32_t peer) const;
-
-  /// The peer's decoded filter, decoding it from the at-rest wire bytes on
-  /// demand (and possibly evicting the LRU decoded filter to stay under
-  /// max_decoded_bytes). The returned shared_ptr pins the decoded filter for
-  /// the caller even if the cache drops its own copy. nullptr when the peer
-  /// is unknown or its wire bytes do not parse.
-  std::shared_ptr<const bloom::BloomFilter> resident_filter(std::uint32_t peer);
 
   /// Bytes of decoded filter payload currently resident (all peers).
   std::size_t decoded_bytes() const;
-
-  /// Peers whose filter is currently decoded-resident.
-  std::size_t resident_peers() const;
 
   // ------------------------------------------------------------------
   // Query path
@@ -199,12 +176,13 @@ class CandidateCache {
 
   CandidateCacheStats stats() const;
   std::size_t cached_terms() const;
-  std::size_t known_peers() const;
+  std::size_t known_peers() const;  ///< peers with a resident filter
   const CandidateCacheConfig& config() const { return config_; }
 
-  /// Population epoch: bumped on every content change (update_peer,
-  /// apply_peer_diff, remove_peer, clear; touch_peer leaves content — and
-  /// so the epoch — alone). A lookup runs entirely against one epoch: a
+  /// Population epoch: bumped on every content change (update_peer, a
+  /// resident_filter decode, apply_peer_diff, apply_update, remove_peer, an
+  /// eviction, clear; touch_peer leaves content — and so the epoch —
+  /// alone). A lookup runs entirely against one epoch: a
   /// cache primed on epoch E serves E-consistent results, and a population
   /// change re-probes every cached entry (full_reprobes / surgical_* count
   /// which path) before epoch E+1 answers — never a mix of the two.
@@ -213,16 +191,15 @@ class CandidateCache {
  private:
   struct TermEntry {
     HashPair hp;
-    std::vector<std::uint32_t> peers;        ///< sorted ids over all known peers
+    std::vector<std::uint32_t> peers;        ///< sorted ids over all resident peers
     std::list<std::string>::iterator lru;    ///< position in lru_ (front = hottest)
   };
   struct PeerState {
-    std::shared_ptr<const bloom::BloomFilter> filter;  ///< decoded; null = at rest
-    std::vector<std::uint8_t> wire;  ///< compressed at-rest copy (empty = decoded-only)
+    std::shared_ptr<const bloom::BloomFilter> filter;  ///< decoded, never null
     std::uint64_t version = 0;
-    std::list<std::uint32_t>::iterator lru;  ///< decoded_lru_ slot; valid iff evictable
-    bool evictable = false;  ///< wire-backed and decoded-resident (in decoded_lru_)
+    std::list<std::uint32_t>::iterator lru;  ///< slot in decoded_lru_
   };
+  using PeerMap = std::unordered_map<std::uint32_t, PeerState>;
   /// Memoized backed/extra split of the most recent view (see lookup()):
   /// callers rebuild the same directory view query after query, so the
   /// per-row classification — one hash lookup per peer — is paid once per
@@ -246,20 +223,32 @@ class CandidateCache {
 
   void evict_to_bound();  ///< caller holds mu_
 
-  /// Drop \p st's decoded filter (bytes accounting + LRU unlink); the caller
-  /// is responsible for the matching reprobe_entries call. Caller holds mu_.
-  void detach_residency(PeerState& st);
+  /// Install \p filter as \p peer's at \p version (replacing any older
+  /// copy), re-probe every cached entry against it, then evict down to
+  /// max_decoded_bytes. Caller holds mu_.
+  void install(std::uint32_t peer, std::shared_ptr<const bloom::BloomFilter> filter,
+               std::uint64_t version);
 
-  /// Evict least-recently-used wire-backed decoded filters until
-  /// decoded_bytes_ fits max_decoded_bytes. Caller holds mu_.
+  /// Replace \p it's filter with \p updated at \p version, where the two
+  /// differ exactly at the sorted bit positions \p flips: only the cached
+  /// terms whose bit positions a flip touches are re-probed. Caller holds mu_.
+  void apply_flips(PeerMap::iterator it, std::shared_ptr<const bloom::BloomFilter> updated,
+                   const std::vector<std::uint64_t>& flips, std::uint64_t version);
+
+  /// Forget \p it's peer: its filter, its LRU slot and its entry
+  /// memberships. Caller holds mu_.
+  void drop(PeerMap::iterator it);
+
+  /// Drop least-recently-used filters until decoded_bytes_ fits
+  /// max_decoded_bytes. Caller holds mu_.
   void evict_decoded_to_bound();
 
   mutable std::mutex mu_;
   CandidateCacheConfig config_;
   EntryMap entries_;
   std::list<std::string> lru_;  ///< most recently used at front
-  std::unordered_map<std::uint32_t, PeerState> peers_;
-  std::list<std::uint32_t> decoded_lru_;  ///< evictable resident peers, hottest first
+  PeerMap peers_;
+  std::list<std::uint32_t> decoded_lru_;  ///< resident peers, hottest first
   std::size_t decoded_bytes_ = 0;         ///< resident decoded payload (all peers)
   /// Bumped on every population change; in-flight miss probes only install
   /// their results when the epoch they were computed against still holds.

@@ -4,8 +4,6 @@
 #include <memory>
 #include <unordered_set>
 
-#include "search/candidate_cache.hpp"
-
 namespace planetp::search {
 
 using corpus::SynthCollection;
@@ -20,17 +18,6 @@ std::vector<PeerFilter> RetrievalSetup::filter_views() const {
     views.push_back(PeerFilter{static_cast<std::uint32_t>(i), &peer_filters[i]});
   }
   return views;
-}
-
-void RetrievalSetup::prime_cache(CandidateCache& cache) const {
-  for (std::size_t i = 0; i < peer_filters.size(); ++i) {
-    // Aliasing shared_ptr with no control block: the setup owns the filters
-    // and outlives the cache in the experiment harness.
-    cache.update_peer(static_cast<std::uint32_t>(i),
-                      std::shared_ptr<const bloom::BloomFilter>(std::shared_ptr<void>(),
-                                                                &peer_filters[i]),
-                      /*version=*/1);
-  }
 }
 
 PeerSearchFn RetrievalSetup::local_contact(std::size_t k) const {
@@ -138,7 +125,6 @@ RetrievalPoint evaluate_at_k(const SynthCollection& collection, const RetrievalS
     dopts.k = k;
     dopts.group_size = opts.group_size;
     dopts.stopping = opts.stopping;
-    dopts.cache = opts.cache;
     const auto result = tfipf_search(terms, views, contact, dopts);
     point.ipf_recall += recall(result.docs, relevant);
     point.ipf_precision += precision(result.docs, relevant);

@@ -37,11 +37,6 @@ struct RetrievalSetup {
   /// Contact function for a search with result budget \p k: each peer
   /// ranks its own snapshot through search::top_k and returns its top k.
   PeerSearchFn local_contact(std::size_t k) const;
-
-  /// Register every peer filter with \p cache (non-owning: the setup must
-  /// outlive the cache), so filter_views() rows resolve through warm
-  /// term→candidate entries instead of per-query probes.
-  void prime_cache(CandidateCache& cache) const;
 };
 
 /// Build the setup: place documents, index them per peer, build filters.
@@ -66,9 +61,6 @@ struct RetrievalOptions {
   std::vector<std::size_t> ks = {10, 20, 50, 100, 150, 200, 300, 400, 500};
   std::size_t group_size = 1;
   StoppingHeuristic stopping;
-  /// Optional query hot-path cache (prime it with RetrievalSetup::prime_cache
-  /// first); results are byte-identical with or without it.
-  CandidateCache* cache = nullptr;
 };
 
 /// Evaluate one k across all queries of the collection.

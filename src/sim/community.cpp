@@ -87,11 +87,6 @@ PeerId SimCommunity::add_peer(const SimPeerSpec& spec) {
   peer.protocol->hooks().on_apply = [this, id](const RumorPayload& p, TimePoint now) {
     on_peer_applied(id, p, now);
   };
-  peer.protocol->hooks().on_expire = [this, id](PeerId expired) {
-    if (auto it = searcher_caches_.find(id); it != searcher_caches_.end()) {
-      it->second->remove_peer(expired);
-    }
-  };
   peers_.push_back(std::move(peer));
   links_->add_peer(spec.bandwidth_bps);
   return id;
@@ -183,11 +178,6 @@ void SimCommunity::crash(PeerId id, bool lose_directory) {
   peer.protocol = std::make_unique<Protocol>(id, config_.gossip, rng_.fork(id ^ 0x9e3779b9u));
   peer.protocol->hooks().on_apply = [this, id](const RumorPayload& p, TimePoint now) {
     on_peer_applied(id, p, now);
-  };
-  peer.protocol->hooks().on_expire = [this, id](PeerId expired) {
-    if (auto it = searcher_caches_.find(id); it != searcher_caches_.end()) {
-      it->second->remove_peer(expired);
-    }
   };
   peer.member = false;
 }
@@ -294,25 +284,6 @@ void SimCommunity::track_event(const RumorId& id, PeerId origin) {
 
 void SimCommunity::on_peer_applied(PeerId peer, const RumorPayload& payload, TimePoint now) {
   for (auto& t : trackers_) t->learned(payload.id(), peer, now);
-  // Candidate-cache invalidation contract: simulated rumors carry no filter
-  // bits (sizes are modeled), so a filter change cannot be applied
-  // surgically — drop the origin's filter from this searcher's cache and let
-  // the harness re-prime it. Joins/rejoins leave the cached content valid.
-  if (payload.origin == peer || payload.kind != gossip::EventKind::kFilterChange) return;
-  if (auto it = searcher_caches_.find(peer); it != searcher_caches_.end()) {
-    it->second->remove_peer(payload.origin);
-  }
-}
-
-search::CandidateCache& SimCommunity::searcher_cache(PeerId searcher) {
-  auto it = searcher_caches_.find(searcher);
-  if (it == searcher_caches_.end()) {
-    it = searcher_caches_
-             .emplace(searcher,
-                      std::make_unique<search::CandidateCache>(config_.candidate_cache))
-             .first;
-  }
-  return *it->second;
 }
 
 // ---------------------------------------------------------------------------

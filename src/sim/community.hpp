@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "gossip/protocol.hpp"
-#include "search/candidate_cache.hpp"
 #include "search/distributed.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/faults.hpp"
@@ -92,8 +91,6 @@ struct SimConfig {
   /// injects is reproducible from `seed`. Uniform message loss is
   /// `FaultPlan::uniform_drop(p)`.
   FaultPlan faults;
-  /// Configuration for per-searcher query hot-path caches (searcher_cache()).
-  search::CandidateCacheConfig candidate_cache;
 
   /// Deterministic parallel round stepping. 0 (default) keeps the fully
   /// sequential event order — bit-identical to all prior releases. A positive
@@ -213,14 +210,6 @@ class SimCommunity {
   /// Mirror a finished search's retry/hedge totals into stats().
   void note_search(const search::DistributedSearchResult& result);
 
-  /// Per-searcher query hot-path cache, created on first use. Simulated
-  /// rumors carry no filter bits (sizes are modeled), so the harness primes
-  /// filters itself (e.g. via RetrievalSetup::prime_cache with peer ids
-  /// matching sim ids); the community honours the invalidation contract by
-  /// dropping a peer from every searcher cache when a filter-change rumor
-  /// for it is applied at that searcher, and on expiry.
-  search::CandidateCache& searcher_cache(gossip::PeerId searcher);
-
  private:
   struct SimPeer {
     std::unique_ptr<gossip::Protocol> protocol;
@@ -251,7 +240,6 @@ class SimCommunity {
   std::unique_ptr<LinkModel> links_;
   std::unique_ptr<NetworkStats> stats_;
   std::vector<std::unique_ptr<ConvergenceTracker>> trackers_;
-  std::unordered_map<gossip::PeerId, std::unique_ptr<search::CandidateCache>> searcher_caches_;
   bool started_ = false;
   bool tracking_enabled_ = true;
   std::uint64_t rounds_executed_ = 0;

@@ -213,20 +213,6 @@ TEST(CandidateCache, EvictionBoundsEntriesAndStaysCorrect) {
   expect_identical(again, IpfTable(hashed, view));
 }
 
-TEST(CandidateCache, DisabledModeProbesWithoutStoringEntries) {
-  CandidateCacheConfig cfg;
-  cfg.enabled = false;
-  CandidateCache cache(cfg);
-  cache.update_peer(0, make_filter({1, 2}), 1);
-
-  const std::vector<PeerFilter> view = {{0, cache.filter_ptr(0), 0}};
-  const HashedTerms hashed = HashedTerms::from({term_name(1), term_name(9)});
-  const IpfTable t = cache.lookup(hashed, view);
-  expect_identical(t, IpfTable(hashed, view));
-  EXPECT_EQ(cache.cached_terms(), 0u);
-  EXPECT_EQ(cache.stats().term_hits, 0u);
-}
-
 TEST(CandidateCache, UnbackedAndDuplicateViewRowsAreProbedDirectly) {
   CandidateCache cache;
   cache.update_peer(0, make_filter({1}), 1);

@@ -6,6 +6,7 @@
 #include "index/persistence.hpp"
 #include "net/framing.hpp"
 #include "net/live_node.hpp"
+#include "net/reactor.hpp"
 #include "net/rpc.hpp"
 
 namespace planetp::net {
@@ -217,6 +218,12 @@ TEST(LiveNode, LazyModeConvergesOverTcpWithoutBlindPayloads) {
   const NetStats b0 = b.net_stats();
   a.publish_text("Lazy Doc", "digest want serve exchange over tcp");
   ASSERT_TRUE(b.wait_for_version(0, 2, 30 * kSecond));
+  // An anti-entropy pull can deliver the body before a's next round sends
+  // its digest. Every digest b receives is answered, so wait (bounded) for
+  // that answer before reading the counters.
+  for (int i = 0; i < 300 && b.net_stats().gossip.wants_sent == b0.gossip.wants_sent; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
 
   const NetStats a1 = a.net_stats();
   EXPECT_EQ(a1.gossip.payloads_sent, a0.gossip.payloads_sent);
@@ -233,6 +240,48 @@ TEST(LiveNode, LazyModeConvergesOverTcpWithoutBlindPayloads) {
   ASSERT_GE(hits.size(), 1u);
   EXPECT_EQ(hits[0].title, "Lazy Doc");
 
+  b.stop();
+  a.stop();
+}
+
+TEST(LiveNode, ResponsesNobodyAwaitsAreDropped) {
+  // RPC responses no call is waiting for — late or unsolicited — are
+  // counted and dropped, not kept: outside input cannot grow the response
+  // table, nor answer a later call that reuses the request id.
+  LiveNode a(0, fast_config());
+  LiveNode b(1, fast_config());
+  a.start();
+  b.start();
+  b.join(0, a.address());
+  ASSERT_TRUE(a.wait_for_peers(2, 20 * kSecond));
+  b.publish_text("Genuine", "ptarmigan habitat survey");
+  ASSERT_TRUE(a.wait_for_version(1, 2, 30 * kSecond));
+
+  Reactor outsider;
+  outsider.start(nullptr, nullptr);
+  constexpr std::uint64_t kForged = 16;
+  for (std::uint64_t id = 1; id <= kForged; ++id) {
+    RankedResponse forged;
+    forged.request_id = id;  // the ids a's next calls will carry
+    forged.docs.push_back(RemoteDoc{1, 99, 1e9, "Forged"});
+    Frame frame;
+    frame.sender = 1;
+    frame.channel = Channel::kRpc;
+    frame.payload = encode_rpc(forged);
+    ASSERT_EQ(outsider.send(a.address(), std::move(frame), SendClass::kRpc),
+              SendResult::kEnqueued);
+  }
+  for (int i = 0; i < 200 && a.net_stats().rpc_responses_dropped < kForged; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(25));
+  }
+  EXPECT_EQ(a.net_stats().rpc_responses_dropped, kForged);
+
+  const auto hits = a.ranked_search("ptarmigan habitat", 5);
+  ASSERT_EQ(hits.size(), 1u);
+  EXPECT_EQ(hits[0].title, "Genuine");
+  EXPECT_EQ(a.net_stats().rpc_responses_dropped, kForged);
+
+  outsider.stop();
   b.stop();
   a.stop();
 }
